@@ -10,63 +10,35 @@ of magnetic-field detuning from the clock transition.
 __version__ = "0.1.0"
 
 from .bath import BathRealization, BathSpec, dipolar_strength, ensemble_average, sample_bath
-from .dynamics import (
-    SequenceConfig,
-    calibrate_pulses,
-    field_sweep,
-    hahn_echo_trace,
-    propagate,
-    pulse_operator,
-    thermal_state,
-)
+from .dynamics import SequenceConfig, calibrate_pulses, field_sweep, hahn_echo_trace
 from .echotrace import EchoTrace
 from .hamiltonian import (
     ElectronSpectrum,
     ModelParams,
-    build_bath,
     build_electronic,
-    build_hyperfine,
-    build_total,
     clock_frequency_curve,
     eigensolve,
     project_fictitious,
 )
-from .spinops import (
-    CompositeSpace,
-    embed,
-    expectation,
-    partial_trace_nuclear,
-    spin1_generators,
-    spin_half_generators,
-)
+from .spinops import spin1_generators, spin_half_generators
 
 __all__ = [
     "BathRealization",
     "BathSpec",
-    "CompositeSpace",
     "EchoTrace",
     "ElectronSpectrum",
     "ModelParams",
     "SequenceConfig",
-    "build_bath",
     "build_electronic",
-    "build_hyperfine",
-    "build_total",
     "calibrate_pulses",
     "clock_frequency_curve",
     "dipolar_strength",
     "eigensolve",
-    "embed",
     "ensemble_average",
-    "expectation",
     "field_sweep",
     "hahn_echo_trace",
-    "partial_trace_nuclear",
     "project_fictitious",
-    "propagate",
-    "pulse_operator",
     "sample_bath",
     "spin1_generators",
     "spin_half_generators",
-    "thermal_state",
 ]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, bath, config, dynamics, validate
+from . import __version__, analysis, config, dynamics, validate
 from .errors import ClockspinError
 
 
@@ -153,15 +153,6 @@ def cmd_zeeman(args) -> int:
     return 0
 
 
-def _single_field_traces(cfg: config.RunConfig, detuning_mt: float):
-    params = cfg.model.at_detuning(detuning_mt * 1e-3)
-    traces = [
-        dynamics.hahn_echo_trace(params, bath.sample_bath(cfg.bath, i), cfg.sequence)
-        for i in range(cfg.bath.n_realizations)
-    ]
-    return params, bath.ensemble_average(traces)
-
-
 def cmd_echo(args) -> int:
     cfg = _load_run_config(args)
     detuning_mt = args.detuning_mt if args.detuning_mt is not None else cfg.detuning_mt
@@ -171,7 +162,9 @@ def cmd_echo(args) -> int:
         out.out_dir / "manifest.json",
     )
     try:
-        params, avg = _single_field_traces(cfg, detuning_mt)
+        params = cfg.model.at_detuning(detuning_mt * 1e-3)
+        (avg,) = dynamics.field_sweep(cfg.model, cfg.bath, cfg.sequence,
+                                      [detuning_mt * 1e-3], jobs=cfg.jobs)
         fit, residual, spec, peaks = _analyze(avg, cfg, params.proton_larmor())
         rows = analysis.peak_map([params.B0], [peaks], params.gamma_H, spec.bin_width)
         by_freq = {round(r.freq, 3): r.label for r in rows}

@@ -1,4 +1,4 @@
-"""Thermal states, eigenbasis propagation, pulses and the Hahn-echo sequence.
+"""Pulses, pulse calibration, the Hahn-echo engine and field sweeps.
 
 All phase evolution uses ``exp(-i 2 pi f tau)`` with Hamiltonians in Hz.  The
 two-pulse sequence is ``P(phi_half) - tau - P(phi_pi) - tau - readout`` with
@@ -11,8 +11,8 @@ nothing in H_tot, the pulses or the observable couples the ``m_S = 0`` electron
 sector to the ``{up, down}`` sector, and the observable vanishes on the former.
 The sequence is therefore evolved on the ``2 * 2**N``-dimensional
 ``{up, down} (x) bath`` block, with the ``m_S = 0`` block entering only through
-the thermal normalization.  A dense full-space reference path is kept for
-cross-validation.
+the thermal normalization.  The dense full-space reference that checks this
+engine lives in ``validate``.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +27,6 @@ from . import constants, hamiltonian, spinops
 from .echotrace import EchoTrace
 from .errors import CalibrationError
 from .hamiltonian import ModelParams
-from .spinops import CompositeSpace
 
 _TAU_CHUNK = 16
 
@@ -46,36 +45,15 @@ class SequenceConfig:
     phi_half: float | None = None
     phi_pi: float | None = None
 
+    def __post_init__(self):
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
+
     def tau_grid(self) -> np.ndarray:
         n = int(round(self.tau_max / self.tau_step))
         if n < 1:
             raise ValueError("tau_max must allow at least one step")
         return self.tau_step * np.arange(1, n + 1)
-
-
-def thermal_state(h_tot: np.ndarray, temperature: float) -> np.ndarray:
-    """Thermal density matrix ``exp(-beta H)/Tr`` with ``beta = h/(k_B T)``."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    vals, vecs = hamiltonian.eigensolve(h_tot)
-    beta_h = constants.PLANCK / (constants.KBOLTZ * temperature)
-    w = np.exp(-beta_h * (vals - vals.min()))
-    w /= w.sum()
-    return (vecs * w) @ vecs.conj().T
-
-
-def propagate(rho: np.ndarray, evals: np.ndarray, evecs: np.ndarray, tau: float) -> np.ndarray:
-    """Unitary evolution ``U rho U^dag`` with ``U = V diag(e^{-i2pi f tau}) V^dag``.
-
-    Implemented as an elementwise phase map in the eigenbasis: element (j,k)
-    acquires ``exp(-i 2 pi (f_j - f_k) tau)``.
-    """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    phase = np.exp(-2j * np.pi * evals * tau)
-    rho_eig = evecs.conj().T @ rho @ evecs
-    rho_eig *= np.outer(phase, phase.conj())
-    return evecs @ rho_eig @ evecs.conj().T
 
 
 def _electron_pulse(phi: float) -> np.ndarray:
@@ -92,11 +70,6 @@ def _electron_pulse(phi: float) -> np.ndarray:
         + (np.cos(phi / 2.0) - 1.0) * proj
         + 1j * np.sin(phi / 2.0) * ac
     )
-
-
-def pulse_operator(phi: float, space: CompositeSpace) -> np.ndarray:
-    """Instantaneous echo pulse on the composite space (identity on nuclei)."""
-    return np.kron(_electron_pulse(phi), np.eye(space.bath_dim, dtype=complex))
 
 
 def calibrate_pulses(h_electronic: np.ndarray, tol: float = 1e-4):
@@ -150,7 +123,7 @@ def _resolved_angles(params: ModelParams, seq: SequenceConfig):
     return seq.phi_half, seq.phi_pi
 
 
-def _trace_meta(params, bath, seq, phi_half, phi_pi, method):
+def _trace_meta(params, bath, seq, phi_half, phi_pi):
     meta = {
         "model": {
             "D_Hz": params.D, "E_Hz": params.E, "gamma_e_Hz_per_T": params.gamma_e,
@@ -162,7 +135,7 @@ def _trace_meta(params, bath, seq, phi_half, phi_pi, method):
             "temperature_K": seq.temperature,
             "phi_half_rad": phi_half, "phi_pi_rad": phi_pi,
         },
-        "engine": method,
+        "engine": "block",
         "version": _pkg_version,
     }
     if bath is not None:
@@ -175,33 +148,6 @@ def _trace_meta(params, bath, seq, phi_half, phi_pi, method):
     return meta
 
 
-def _block_hamiltonians(params: ModelParams, bath):
-    """Hamiltonian on the {up,down} (x) bath block and the m_S=0 bath block."""
-    n = bath.n_nuclei if bath is not None else 0
-    nb = 2**n
-    eye_b = np.eye(nb, dtype=complex)
-    if n:
-        ix, iy, iz = spinops.spin_half_generators()
-        b_op = np.zeros((nb, nb), dtype=complex)
-        for m in range(n):
-            nuc = bath.a_sc[m] * iz + bath.a_psc[m] * (ix + iy)
-            b_op += spinops.embed_bath(nuc, m, n)
-        h_i = hamiltonian.bath_hamiltonian_matrix(params, bath, n)
-    else:
-        b_op = np.zeros((1, 1), dtype=complex)
-        h_i = np.zeros((1, 1), dtype=complex)
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sigma_z = np.diag([1.0, -1.0]).astype(complex)
-    h2 = (
-        (params.D / 3.0) * np.eye(2 * nb, dtype=complex)
-        + params.E * np.kron(sigma_x, eye_b)
-        + np.kron(sigma_z, params.gamma_e * params.detuning * eye_b + b_op)
-        + np.kron(np.eye(2, dtype=complex), h_i)
-    )
-    h0 = -(2.0 * params.D / 3.0) * np.eye(nb, dtype=complex) + h_i
-    return h2, h0
-
-
 def _block_pulse(phi: float, nb: int) -> np.ndarray:
     """Pulse restricted to the {up,down} block: exp[i phi sigma_y / 2] (x) 1."""
     c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
@@ -209,7 +155,7 @@ def _block_pulse(phi: float, nb: int) -> np.ndarray:
 
 
 def _echo_block_engine(params, bath, seq, tau):
-    h2, h0 = _block_hamiltonians(params, bath)
+    h2, h0 = hamiltonian.block_hamiltonians(params, bath)
     nb = h0.shape[0]
     d = 2 * nb
     f2, v2 = hamiltonian.eigensolve(h2)
@@ -250,51 +196,21 @@ def _echo_block_engine(params, bath, seq, tau):
     return intensity, phi_half, phi_pi
 
 
-def _echo_full_engine(params, bath, seq, tau):
-    n = bath.n_nuclei if bath is not None else 0
-    space = CompositeSpace(n)
-    h = hamiltonian.build_total(params, bath, space)
-    vals, vecs = hamiltonian.eigensolve(h)
-    rho_eq = thermal_state(h, seq.temperature)
-    phi_half, phi_pi = _resolved_angles(params, seq)
-    p_half = pulse_operator(phi_half, space)
-    p_pi = pulse_operator(phi_pi, space)
-    _, _, sz, _, _, _ = spinops.spin1_generators()
-    sz_full = spinops.embed(sz, "electron", space)
-
-    rho1 = p_half @ rho_eq @ p_half.conj().T
-    intensity = np.empty(tau.size)
-    for i, t in enumerate(tau):
-        rho = propagate(rho1, vals, vecs, t)
-        rho = p_pi @ rho @ p_pi.conj().T
-        rho = propagate(rho, vals, vecs, t)
-        intensity[i] = spinops.expectation(rho, sz_full)
-    return intensity, phi_half, phi_pi
-
-
-def hahn_echo_trace(params: ModelParams, bath, seq: SequenceConfig,
-                    method: str = "block") -> EchoTrace:
+def hahn_echo_trace(params: ModelParams, bath, seq: SequenceConfig) -> EchoTrace:
     """Simulate one two-pulse echo trace.
 
     Args:
         params: model parameters (B0 sets the detuning).
         bath: a ``BathRealization`` or ``None`` for a bare electron.
         seq: sequence configuration.
-        method: ``"block"`` (production engine) or ``"full"`` (dense
-            full-space reference; identical results, for cross-checks).
 
     Returns:
         EchoTrace sampled on ``tau_step * (1..n)``; every tau point reuses a
         single eigendecomposition of the (time-independent) Hamiltonian.
     """
     tau = seq.tau_grid()
-    if method == "block":
-        intensity, phi_half, phi_pi = _echo_block_engine(params, bath, seq, tau)
-    elif method == "full":
-        intensity, phi_half, phi_pi = _echo_full_engine(params, bath, seq, tau)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    meta = _trace_meta(params, bath, seq, phi_half, phi_pi, method)
+    intensity, phi_half, phi_pi = _echo_block_engine(params, bath, seq, tau)
+    meta = _trace_meta(params, bath, seq, phi_half, phi_pi)
     return EchoTrace(tau=tau, intensity=intensity, meta=meta)
 
 
@@ -337,14 +253,3 @@ def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
         averaged.append(avg)
     return averaged
 
-
-def density_diagnostics(rho: np.ndarray) -> dict:
-    """Trace, Hermiticity residual, minimum eigenvalue and purity of a state."""
-    herm = np.linalg.norm(rho - rho.conj().T)
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    return {
-        "trace": complex(np.trace(rho)).real,
-        "hermiticity": float(herm),
-        "min_eigenvalue": float(evals.min()),
-        "purity": float(np.real(np.trace(rho @ rho))),
-    }

@@ -11,7 +11,9 @@ the transition frequency is first-order insensitive to field.
 
 The electron couples to N bath protons through secular and pseudosecular
 hyperfine terms (H_SI), and the protons carry their own Zeeman plus pairwise
-dipolar dynamics (H_I).
+dipolar dynamics (H_I).  Nothing in H_tot = H_S + H_SI + H_I couples the
+m_S = 0 sector to {m_S = +-1} (x) bath, so ``block_hamiltonians`` assembles
+H_tot as those two blocks and never forms the full 3 * 2**N matrix.
 """
 
 import csv
@@ -20,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import constants, spinops
-from .spinops import CompositeSpace
 
 
 @dataclass(frozen=True)
@@ -95,22 +96,6 @@ def build_electronic(p: ModelParams) -> np.ndarray:
     return h
 
 
-def build_hyperfine(p: ModelParams, bath, space: CompositeSpace) -> np.ndarray:
-    """Electron-bath coupling ``Sz * sum_m [A_sc Iz^m + A_psc (Ix^m + Iy^m)]``."""
-    if len(bath.a_sc) != space.n_nuclei:
-        raise ValueError(
-            f"bath has {len(bath.a_sc)} nuclei but space expects {space.n_nuclei}"
-        )
-    ix, iy, iz = spinops.spin_half_generators()
-    _, _, sz, _, _, _ = spinops.spin1_generators()
-    sz_full = spinops.embed(sz, "electron", space)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for m in range(space.n_nuclei):
-        nuc = bath.a_sc[m] * iz + bath.a_psc[m] * (ix + iy)
-        h += sz_full @ spinops.embed(nuc, m, space)
-    return h
-
-
 def bath_hamiltonian_matrix(p: ModelParams, bath, n_nuclei: int) -> np.ndarray:
     """Intra-bath Hamiltonian on the bath-only space (dim 2**N).
 
@@ -120,6 +105,8 @@ def bath_hamiltonian_matrix(p: ModelParams, bath, n_nuclei: int) -> np.ndarray:
     The Zeeman term uses the full applied field B0 (B_min shifts only the
     electron term).  The pair sum runs over unordered pairs.
     """
+    if len(bath.a_sc) != n_nuclei:
+        raise ValueError(f"bath has {len(bath.a_sc)} nuclei but N = {n_nuclei}")
     ix, iy, iz = spinops.spin_half_generators()
     dim = 2**n_nuclei
     h = np.zeros((dim, dim), dtype=complex)
@@ -138,18 +125,37 @@ def bath_hamiltonian_matrix(p: ModelParams, bath, n_nuclei: int) -> np.ndarray:
     return h
 
 
-def build_bath(p: ModelParams, bath, space: CompositeSpace) -> np.ndarray:
-    """Intra-bath Hamiltonian embedded in the composite space."""
-    hb = bath_hamiltonian_matrix(p, bath, space.n_nuclei)
-    return np.kron(np.eye(space.electron_dim, dtype=complex), hb)
+def block_hamiltonians(params: ModelParams, bath):
+    """H_tot on the {up,down} (x) bath block and on the m_S=0 bath block.
 
-
-def build_total(p: ModelParams, bath, space: CompositeSpace) -> np.ndarray:
-    """``H_tot = H_S + H_SI + H_I`` on the composite space."""
-    h = spinops.embed(build_electronic(p), "electron", space)
-    if space.n_nuclei:
-        h = h + build_hyperfine(p, bath, space) + build_bath(p, bath, space)
-    return h
+    Returns:
+        ``(h2, h0)``: the ``2 * 2**N`` block in the electron-major layout
+        ``(up, down) (x) bath`` and the ``2**N`` block of m_S = 0, in Hz.
+        ``bath`` may be ``None`` for a bare electron (N = 0).
+    """
+    n = bath.n_nuclei if bath is not None else 0
+    nb = 2**n
+    eye_b = np.eye(nb, dtype=complex)
+    if n:
+        ix, iy, iz = spinops.spin_half_generators()
+        b_op = np.zeros((nb, nb), dtype=complex)
+        for m in range(n):
+            nuc = bath.a_sc[m] * iz + bath.a_psc[m] * (ix + iy)
+            b_op += spinops.embed_bath(nuc, m, n)
+        h_i = bath_hamiltonian_matrix(params, bath, n)
+    else:
+        b_op = np.zeros((1, 1), dtype=complex)
+        h_i = np.zeros((1, 1), dtype=complex)
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sigma_z = np.diag([1.0, -1.0]).astype(complex)
+    h2 = (
+        (params.D / 3.0) * np.eye(2 * nb, dtype=complex)
+        + params.E * np.kron(sigma_x, eye_b)
+        + np.kron(sigma_z, params.gamma_e * params.detuning * eye_b + b_op)
+        + np.kron(np.eye(2, dtype=complex), h_i)
+    )
+    h0 = -(2.0 * params.D / 3.0) * np.eye(nb, dtype=complex) + h_i
+    return h2, h0
 
 
 def canonical_phases(vecs: np.ndarray) -> np.ndarray:

@@ -1,20 +1,16 @@
-"""Spin operator algebra on the composite electron-bath Hilbert space.
+"""Spin operator algebra for one S=1 electron and a spin-1/2 proton bath.
 
-The composite space is ordered electron first, then nuclei in index order:
-``H = C^3 (x) C^2 (x) ... (x) C^2``.  The electron basis is the Sz eigenbasis
-``{|m_S=+1>, |m_S=0>, |m_S=-1>}``; each nuclear factor uses ``{|+1/2>, |-1/2>}``.
-All operators are dense complex matrices.  Hamiltonians carry frequency units
-(Hz); pulses and observables are dimensionless.
+The electron basis is the Sz eigenbasis ``{|m_S=+1>, |m_S=0>, |m_S=-1>}``;
+each nuclear factor uses ``{|+1/2>, |-1/2>}``, and bath operators act on
+``C^2 (x) ... (x) C^2`` with nucleus 0 as the most significant factor.  All
+operators are dense complex matrices.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
-IMAG_TOL = 1e-10
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -23,30 +19,6 @@ _SPLUS = np.array(
     [[0.0, _SQRT2, 0.0], [0.0, 0.0, _SQRT2], [0.0, 0.0, 0.0]], dtype=complex
 )
 _SMINUS = _SPLUS.conj().T
-
-
-@dataclass(frozen=True)
-class CompositeSpace:
-    """Tensor layout of one S=1 electron and ``n_nuclei`` spin-1/2 nuclei."""
-
-    n_nuclei: int
-    electron_dim: int = 3
-
-    def __post_init__(self):
-        if self.n_nuclei < 0:
-            raise ValueError(f"n_nuclei must be >= 0, got {self.n_nuclei}")
-
-    @property
-    def dim(self) -> int:
-        return self.electron_dim * 2**self.n_nuclei
-
-    @property
-    def bath_dim(self) -> int:
-        return 2**self.n_nuclei
-
-    @property
-    def factor_dims(self) -> tuple:
-        return (self.electron_dim,) + (2,) * self.n_nuclei
 
 
 def spin1_generators():
@@ -71,85 +43,19 @@ def spin_half_generators():
     return ix, iy, iz
 
 
-def _kron_all(factors) -> np.ndarray:
-    return reduce(np.kron, factors)
-
-
-def embed(op: np.ndarray, site, space: CompositeSpace) -> np.ndarray:
-    """Embed a single-factor operator into the composite space.
-
-    Args:
-        op: Operator on one tensor factor (3x3 for the electron, 2x2 for a
-            nucleus).
-        site: ``"electron"`` or a nucleus index in ``range(n_nuclei)``.
-        space: Target composite space.
-
-    Returns:
-        ``dim x dim`` operator acting as ``op`` on the chosen factor and as
-        the identity elsewhere.
-    """
-    dims = space.factor_dims
-    if site == "electron":
-        pos = 0
-    else:
-        pos = int(site) + 1
-        if not 0 <= int(site) < space.n_nuclei:
-            raise ValueError(
-                f"nucleus index {site} out of range for N={space.n_nuclei}"
-            )
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (dims[pos], dims[pos]):
-        raise ValueError(f"operator shape {op.shape} does not match factor dim {dims[pos]}")
-    factors = [np.eye(d, dtype=complex) for d in dims]
-    factors[pos] = op
-    return _kron_all(factors)
-
-
 def embed_bath(op: np.ndarray, site: int, n_nuclei: int) -> np.ndarray:
     """Embed a 2x2 nuclear operator into the bath-only space (dim 2**N)."""
     if not 0 <= site < n_nuclei:
         raise ValueError(f"nucleus index {site} out of range for N={n_nuclei}")
     op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"operator shape {op.shape} is not a nuclear 2x2")
     factors = [np.eye(2, dtype=complex)] * n_nuclei
     factors[site] = op
-    return _kron_all(factors)
+    return reduce(np.kron, factors)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """Relative Frobenius-norm Hermiticity check (absolute for ~zero input)."""
     scale = max(np.linalg.norm(m), 1.0)
     return np.linalg.norm(m - m.conj().T) <= tol * scale
-
-
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    d = m.shape[0]
-    return np.linalg.norm(m.conj().T @ m - np.eye(d)) <= tol
-
-
-def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
-    """Real expectation value ``Tr(rho @ obs)`` of a Hermitian observable.
-
-    An imaginary residue above ``IMAG_TOL`` (relative to the magnitude)
-    signals an inconsistent state/observable pair and raises.
-    """
-    rho = np.asarray(rho)
-    obs = np.asarray(obs)
-    if rho.shape != obs.shape:
-        raise ValueError(f"dimension mismatch: rho {rho.shape}, obs {obs.shape}")
-    if not is_hermitian(obs, tol=1e-10):
-        raise ValueError("observable is not Hermitian")
-    val = np.sum(rho * obs.T)
-    scale = max(abs(val), 1.0)
-    if abs(val.imag) > IMAG_TOL * scale:
-        raise ValueError(f"expectation has imaginary residue {val.imag:g}")
-    return float(val.real)
-
-
-def partial_trace_nuclear(rho: np.ndarray, space: CompositeSpace) -> np.ndarray:
-    """Trace out all nuclear factors, returning the 3x3 electron state."""
-    rho = np.asarray(rho)
-    if rho.shape != (space.dim, space.dim):
-        raise ValueError(f"state shape {rho.shape} does not match dim {space.dim}")
-    nb = space.bath_dim
-    reshaped = rho.reshape(space.electron_dim, nb, space.electron_dim, nb)
-    return np.einsum("ikjk->ij", reshaped)

@@ -126,6 +126,15 @@ class TestEchoCommand:
         for fname in ("trace.csv", "spectrum.csv", "peaks.csv", "fit.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_trace_matches_one_field_sweep(self, tmp_path, n2_config):
+        echo_out, sweep_out = tmp_path / "e", tmp_path / "s"
+        assert main(["echo", "--config", str(n2_config), "--out", str(echo_out),
+                     "--detuning-mT", "1", "--jobs", "2"]) == 0
+        assert main(["sweep", "--config", str(n2_config), "--out", str(sweep_out),
+                     "--start-mT", "1", "--stop-mT", "1", "--step-mT", "1"]) == 0
+        assert (echo_out / "trace.csv").read_bytes() == \
+            (sweep_out / "trace_+001.000mT.csv").read_bytes()
+
     def test_manifest_written_before_results(self, tmp_path, n2_config):
         out = tmp_path / "m"
         rc = main(["echo", "--config", str(n2_config), "--out", str(out),

@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from clockspin.bath import BathRealization
+from clockspin.bath import BathRealization, BathSpec, sample_bath
 from clockspin.hamiltonian import (
     ModelParams,
     analytic_doublet_gap,
     bath_hamiltonian_matrix,
-    build_bath,
+    block_hamiltonians,
     build_electronic,
-    build_hyperfine,
-    build_total,
     canonical_phases,
     clock_frequency_curve,
     ct_curvature,
     eigensolve,
     project_fictitious,
 )
-from clockspin.spinops import CompositeSpace, embed, is_hermitian, spin1_generators
+from clockspin.spinops import is_hermitian, spin_half_generators
+from clockspin.validate import reference_hamiltonian
 
 GHZ = 1e9
 
@@ -26,6 +25,21 @@ def single_proton(a_sc=1e6, a_psc=0.5e6):
         a_sc=np.array([a_sc]), a_psc=np.array([a_psc]),
         theta=np.zeros((1, 1)), d_pair=0.0,
     )
+
+
+def hyperfine_part(bath):
+    """Hyperfine term of the +-1 block, isolated without roundoff.
+
+    With D/3 = 1 Hz, E = 0 and no field the block is exactly
+    ``1 + sigma_z (x) sum_m (A_sc Iz + A_psc (Ix + Iy))`` for one proton.
+    """
+    h2, _ = block_hamiltonians(ModelParams(D=3.0, E=0.0, B0=0.0, B_min=0.0), bath)
+    return h2 - np.eye(h2.shape[0])
+
+
+# Full-space index of (m_S, bath state): m_S in (+1, 0, -1) is the slow index.
+def sector(m_index, nb):
+    return slice(m_index * nb, (m_index + 1) * nb)
 
 
 class TestModelParams:
@@ -86,37 +100,51 @@ class TestElectronic:
 
 class TestHyperfine:
     def test_kronecker_oracle(self):
-        # direct Kronecker arithmetic: Sz (x) (A_sc Iz + A_psc (Ix+Iy))
-        from clockspin.spinops import spin_half_generators
-
-        p = ModelParams()
-        space = CompositeSpace(1)
-        bath = single_proton()
-        h = build_hyperfine(p, bath, space)
+        # direct Kronecker arithmetic: on the +-1 block Sz -> sigma_z, so the
+        # coupling is sigma_z (x) (A_sc Iz + A_psc (Ix+Iy))
         ix, iy, iz = spin_half_generators()
-        sz = np.diag([1.0, 0.0, -1.0])
-        oracle = np.kron(sz, 1e6 * iz + 0.5e6 * (ix + iy))
+        oracle = np.kron(np.diag([1.0, -1.0]), 1e6 * iz + 0.5e6 * (ix + iy))
+        h = hyperfine_part(single_proton())
         assert np.max(np.abs(h - oracle)) < 1e-12
 
     def test_zero_couplings_give_zero(self):
+        # with zero couplings H_tot is exactly H_S (x) 1 + 1 (x) H_I
+        p = ModelParams().at_detuning(2e-3)
         bath = single_proton(a_sc=0.0, a_psc=0.0)
-        h = build_hyperfine(ModelParams(), bath, CompositeSpace(1))
-        assert np.max(np.abs(h)) == 0.0
+        h = reference_hamiltonian(p, bath)
+        h_i = bath_hamiltonian_matrix(p, bath, 1)
+        assert np.max(np.abs(h - np.kron(build_electronic(p), np.eye(2))
+                             - np.kron(np.eye(3), h_i))) == 0.0
 
     def test_ms0_sector_vanishes(self):
-        h = build_hyperfine(ModelParams(), single_proton(), CompositeSpace(1))
-        assert np.max(np.abs(h[2:4, :])) < 1e-15
-        assert np.max(np.abs(h[:, 2:4])) < 1e-15
-
-    def test_commutes_with_sz_not_with_bath_transverse(self):
-        space = CompositeSpace(1)
-        h = build_hyperfine(ModelParams(), single_proton(), space)
-        sz_full = embed(spin1_generators()[2], "electron", space)
-        assert np.max(np.abs(h @ sz_full - sz_full @ h)) < 1e-12
+        # decoupling: the full H has exact zeros between m_S = 0 and the +-1
+        # sectors, and the builder's blocks are the remaining sub-blocks
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3):
+            bath = sample_bath(BathSpec(n_nuclei=n, n_realizations=1), 0)
+            p = ModelParams().at_detuning(rng.uniform(-5e-3, 5e-3))
+            h = reference_hamiltonian(p, bath)
+            nb = 2**n
+            up, zero, down = (sector(i, nb) for i in range(3))
+            for pm in (up, down):
+                assert np.max(np.abs(h[zero, pm])) == 0.0
+                assert np.max(np.abs(h[pm, zero])) == 0.0
+            pm_rows = np.r_[0:nb, 2 * nb:3 * nb]
+            h2, h0 = block_hamiltonians(p, bath)
+            scale = 1e-12 * np.linalg.norm(h)
+            assert np.max(np.abs(h2 - h[np.ix_(pm_rows, pm_rows)])) < scale
+            assert np.max(np.abs(h0 - h[zero, zero])) < scale
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            build_hyperfine(ModelParams(), single_proton(), CompositeSpace(2))
+            bath_hamiltonian_matrix(ModelParams(), single_proton(), 2)
+
+    def test_commutes_with_sz_not_with_bath_transverse(self):
+        h = hyperfine_part(single_proton())
+        sz = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+        ix = np.kron(np.eye(2), spin_half_generators()[0])
+        assert np.max(np.abs(h @ sz - sz @ h)) < 1e-12
+        assert np.max(np.abs(h @ ix - ix @ h)) > 1e5
 
 
 class TestBathHamiltonian:
@@ -158,8 +186,11 @@ class TestBathHamiltonian:
 class TestTotal:
     def test_n0_reduces_to_electronic(self):
         p = ModelParams().at_detuning(3e-3)
-        h = build_total(p, None, CompositeSpace(0))
-        assert np.allclose(h, build_electronic(p))
+        assert np.allclose(reference_hamiltonian(p, None), build_electronic(p))
+        h2, h0 = block_hamiltonians(p, None)
+        pm = [0, 2]
+        assert np.allclose(h2, build_electronic(p)[np.ix_(pm, pm)])
+        assert np.allclose(h0, build_electronic(p)[1, 1])
 
     def test_hermitian_random_inputs(self):
         rng = np.random.default_rng(2)
@@ -173,15 +204,23 @@ class TestTotal:
             theta[ju, iu] = ang
             bath = BathRealization(a_sc=a_sc, a_psc=a_sc / 2, theta=theta, d_pair=1e4)
             p = ModelParams().at_detuning(rng.uniform(-5e-3, 5e-3))
-            h = build_total(p, bath, CompositeSpace(n))
+            h = reference_hamiltonian(p, bath)
             assert is_hermitian(h)
             assert h.shape == (3 * 2**n,) * 2
+            h2, h0 = block_hamiltonians(p, bath)
+            assert is_hermitian(h2) and is_hermitian(h0)
+            assert h2.shape == (2 * 2**n,) * 2 and h0.shape == (2**n,) * 2
 
     def test_eigenvalue_count_and_realness(self):
+        # the spectrum of the full H is the union of the two block spectra
+        p = ModelParams().at_detuning(2e-3)
         bath = single_proton()
-        vals, _ = eigensolve(build_total(ModelParams(), bath, CompositeSpace(1)))
+        vals, _ = eigensolve(reference_hamiltonian(p, bath))
         assert vals.shape == (6,)
         assert np.all(np.isreal(vals))
+        h2, h0 = block_hamiltonians(p, bath)
+        blocks = np.sort(np.concatenate([np.linalg.eigvalsh(h2), np.linalg.eigvalsh(h0)]))
+        assert np.allclose(vals, blocks, rtol=1e-12, atol=0.0)
 
 
 class TestEigensolve:

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from clockspin.spinops import (
-    CompositeSpace,
-    embed,
-    embed_bath,
-    expectation,
-    is_hermitian,
-    is_unitary,
-    partial_trace_nuclear,
-    spin1_generators,
-    spin_half_generators,
-)
+from clockspin.bath import BathRealization
+from clockspin.dynamics import SequenceConfig, _block_pulse, _electron_pulse, hahn_echo_trace
+from clockspin.hamiltonian import ModelParams, block_hamiltonians, build_electronic
+from clockspin.spinops import embed_bath, is_hermitian, spin1_generators, spin_half_generators
+from clockspin.validate import reference_echo, reference_hamiltonian
 
 SX, SY, SZ, AC, SP, SM = spin1_generators()
 IX, IY, IZ = spin_half_generators()
@@ -22,10 +16,17 @@ def random_hermitian(rng, dim):
     return (m + m.conj().T) / 2
 
 
-def random_density(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho).real
+def two_protons():
+    return BathRealization(
+        a_sc=np.array([1e6, 1.3e6]), a_psc=np.array([0.5e6, 0.65e6]),
+        theta=np.array([[0.0, 0.4], [0.4, 0.0]]), d_pair=10e3,
+    )
+
+
+def bath_trace(op, nb):
+    """Partial trace over the bath factor of an ``(k * nb) x (k * nb)`` operator."""
+    k = op.shape[0] // nb
+    return np.einsum("ikjk->ij", op.reshape(k, nb, k, nb))
 
 
 class TestSpin1Generators:
@@ -63,103 +64,106 @@ class TestSpinHalfGenerators:
 
 class TestEmbed:
     def test_electron_embedding_dimension_and_trace(self):
-        space = CompositeSpace(1)
-        full = embed(SZ, "electron", space)
-        assert full.shape == (6, 6)
+        # the engine's pi pulse is a traceless electron rotation embedded as
+        # op (x) 1_bath on the {up, down} (x) bath block
+        full = _block_pulse(np.pi, 4)
+        assert full.shape == (8, 8)
         assert abs(np.trace(full)) < 1e-14
 
     def test_disjoint_factors_commute(self):
-        space = CompositeSpace(2)
-        a = embed(IZ, 0, space)
-        b = embed(IX, 1, space)
+        a = embed_bath(IZ, 0, 2)
+        b = embed_bath(IX, 1, 2)
         assert np.max(np.abs(a @ b - b @ a)) < 1e-14
 
     def test_identity_embeds_to_identity(self):
-        space = CompositeSpace(2)
-        for site, dim in [("electron", 3), (0, 2), (1, 2)]:
-            assert np.allclose(embed(np.eye(dim), site, space), np.eye(space.dim))
+        for site in (0, 1):
+            assert np.allclose(embed_bath(np.eye(2), site, 2), np.eye(4))
 
     def test_out_of_range_site(self):
         with pytest.raises(ValueError):
-            embed(IZ, 2, CompositeSpace(2))
+            embed_bath(IZ, 2, 2)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            embed(IZ, "electron", CompositeSpace(1))
+            embed_bath(SZ, 0, 1)
 
     def test_algebra_homomorphism(self):
         rng = np.random.default_rng(3)
-        space = CompositeSpace(2)
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
-        lhs = embed(a @ b, 1, space)
-        rhs = embed(a, 1, space) @ embed(b, 1, space)
+        lhs = embed_bath(a @ b, 1, 2)
+        rhs = embed_bath(a, 1, 2) @ embed_bath(b, 1, 2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_embed_bath_matches_composite_layout(self):
-        space = CompositeSpace(2)
-        full = embed(IZ, 0, space)
-        bath_only = embed_bath(IZ, 0, 2)
-        assert np.allclose(full, np.kron(np.eye(3), bath_only))
+        # nucleus 0 is the most significant factor, as in the reference's np.kron
+        assert np.allclose(embed_bath(IZ, 0, 2), np.kron(IZ, np.eye(2)))
+        assert np.allclose(embed_bath(IZ, 1, 2), np.kron(np.eye(2), IZ))
 
 
 class TestExpectation:
+    """The Sz readout of the echo."""
+
     def test_maximally_mixed_sz_is_zero(self):
-        space = CompositeSpace(1)
-        rho = np.eye(space.dim) / space.dim
-        assert abs(expectation(rho, embed(SZ, "electron", space))) < 1e-14
+        seq = SequenceConfig(tau_step=1e-6, tau_max=5e-6, temperature=1e16)
+        echo = reference_echo(ModelParams().at_detuning(2e-3), two_protons(), seq,
+                              np.pi / 2, np.pi)
+        assert np.max(np.abs(echo)) < 1e-14
 
     def test_polarized_electron(self):
-        space = CompositeSpace(1)
-        up = np.zeros((3, 3))
-        up[0, 0] = 1.0
-        rho = np.kron(up, np.eye(2) / 2)
-        assert expectation(rho, embed(SZ, "electron", space)) == pytest.approx(1.0)
-
-    def test_rejects_non_hermitian_observable(self):
-        with pytest.raises(ValueError):
-            expectation(np.eye(2) / 2, np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expectation(np.eye(2) / 2, np.eye(3))
+        # near T = 0 the bare electron starts in the lower CT state; pi/2 and pi
+        # pulses refocus its full polarization into a unit echo
+        seq = SequenceConfig(tau_step=100e-9, tau_max=2e-6, temperature=0.01,
+                             phi_half=np.pi / 2, phi_pi=np.pi)
+        trace = hahn_echo_trace(ModelParams(), None, seq)
+        assert np.allclose(trace.intensity, 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestPartialTrace:
+    """The block engine keeps the {m_S = +-1} (x) bath sector and the bath."""
+
     def test_product_state_recovers_electron_factor(self):
-        rng = np.random.default_rng(5)
-        rho_e = random_density(rng, 3)
-        rho_b = random_density(rng, 4)
-        space = CompositeSpace(2)
-        assert np.max(np.abs(partial_trace_nuclear(np.kron(rho_e, rho_b), space) - rho_e)) < 1e-13
+        # without couplings the thermal state is rho_e (x) rho_bath, and tracing
+        # out the bath leaves the bare-electron echo
+        free = BathRealization(a_sc=np.zeros(2), a_psc=np.zeros(2),
+                               theta=np.zeros((2, 2)), d_pair=0.0)
+        p = ModelParams().at_detuning(3e-3)
+        seq = SequenceConfig(tau_step=100e-9, tau_max=20e-6)
+        with_bath = hahn_echo_trace(p, free, seq).intensity
+        bare = hahn_echo_trace(p, None, seq).intensity
+        assert np.max(np.abs(with_bath - bare)) < 1e-13
 
     def test_trace_preserved(self):
-        rng = np.random.default_rng(6)
-        space = CompositeSpace(2)
-        rho = random_density(rng, space.dim)
-        reduced = partial_trace_nuclear(rho, space)
-        assert abs(np.trace(reduced) - 1.0) < 1e-12
+        # each block carries the trace of its sector of the full H
+        p = ModelParams().at_detuning(2e-3)
+        h2, h0 = block_hamiltonians(p, two_protons())
+        full = reference_hamiltonian(p, two_protons())
+        assert np.trace(h2) == pytest.approx(np.trace(full[:4, :4]) + np.trace(full[8:, 8:]),
+                                             rel=1e-12)
+        assert np.trace(h0) == pytest.approx(np.trace(full[4:8, 4:8]), rel=1e-12)
 
     def test_expectation_identity_random_states(self):
-        # Tr(ptr(rho) Sz_3x3) = Tr(rho embed(Sz)) checked by direct evaluation
+        # the block Sz readout equals the full-space Tr(rho Sz) for states
+        # prepared by random pulse angles
         rng = np.random.default_rng(7)
-        space = CompositeSpace(2)
-        sz_full = embed(SZ, "electron", space)
-        for _ in range(10):
-            rho = random_density(rng, space.dim)
-            lhs = expectation(partial_trace_nuclear(rho, space), SZ)
-            rhs = expectation(rho, sz_full)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+        p = ModelParams().at_detuning(2e-3)
+        for _ in range(5):
+            phi_half, phi_pi = rng.uniform(0.0, np.pi, 2)
+            seq = SequenceConfig(tau_step=100e-9, tau_max=1e-6,
+                                 phi_half=phi_half, phi_pi=phi_pi)
+            blk = hahn_echo_trace(p, two_protons(), seq).intensity
+            full = reference_echo(p, two_protons(), seq, phi_half, phi_pi)
+            assert np.max(np.abs(blk - full)) < 1e-12
 
     def test_partial_trace_of_embedded_electron_op(self):
-        # ptr(embed(A)) = A * Tr(identity on bath)
-        space = CompositeSpace(2)
-        reduced = partial_trace_nuclear(embed(SX, "electron", space), space)
-        assert np.allclose(reduced, SX * space.bath_dim)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_trace_nuclear(np.eye(6), CompositeSpace(2))
+        # hyperfine and bath terms are traceless over the bath, so tracing the
+        # bath out of each block leaves 2**N times the matching H_S sub-block
+        p = ModelParams().at_detuning(2e-3)
+        h2, h0 = block_hamiltonians(p, two_protons())
+        h_s = build_electronic(p)
+        pm = [0, 2]
+        assert np.allclose(bath_trace(h2, 4), 4 * h_s[np.ix_(pm, pm)], rtol=1e-12, atol=0)
+        assert np.allclose(bath_trace(h0, 4), 4 * h_s[1, 1], rtol=1e-12, atol=0)
 
 
 class TestMatrixChecks:
@@ -168,9 +172,12 @@ class TestMatrixChecks:
         assert not is_hermitian(SP)
 
     def test_unitary_check(self):
-        rng = np.random.default_rng(11)
-        h = random_hermitian(rng, 4)
-        from scipy.linalg import expm
-
-        assert is_unitary(expm(1j * h))
-        assert not is_unitary(h + np.eye(4))
+        # the engine's pulse on the {up, down} (x) bath block is the +-1
+        # sub-block of the electron pulse, and it is unitary
+        nb = 4
+        for phi in (0.3, np.pi / 2, np.pi):
+            u = _block_pulse(phi, nb)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(2 * nb)) < 1e-12
+            pm = [0, 2]
+            sub = _electron_pulse(phi)[np.ix_(pm, pm)]
+            assert np.max(np.abs(u - np.kron(sub, np.eye(nb)))) < 1e-15
