@@ -35,8 +35,13 @@ class BathSpec:
     def __post_init__(self):
         if self.n_nuclei < 1:
             raise ValueError("n_nuclei must be >= 1")
+        for name in ("a_mean", "a_halfwidth", "psc_ratio", "d_pair"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.a_halfwidth < 0:
             raise ValueError("a_halfwidth must be >= 0")
+        if self.psc_ratio < 0:
+            raise ValueError("psc_ratio must be >= 0")
         if self.angle_mode not in ("isotropic", "uniform-theta"):
             raise ValueError(f"unknown angle_mode {self.angle_mode!r}")
 

@@ -167,9 +167,10 @@ def cmd_echo(args) -> int:
                                       [detuning_mt * 1e-3], jobs=cfg.jobs)
         fit, residual, spec, peaks = _analyze(avg, cfg, params.proton_larmor())
         rows = analysis.peak_map([params.B0], [peaks], params.gamma_H, spec.bin_width)
-        by_freq = {round(r.freq, 3): r.label for r in rows}
+        # peak_map emits a row at the exact frequency of every peak
+        labels = {r.freq: r.label for r in rows}
         for p in peaks:
-            p.label = by_freq.get(round(p.freq, 3), "other")
+            p.label = labels[p.freq]
         avg.write_csv(out.path("trace.csv"))
         avg.write_sidecar(out.path("trace.json"))
         residual.write_csv(out.path("residual.csv"))
@@ -204,10 +205,11 @@ def cmd_sweep(args) -> int:
             tag = f"{db_mt:+08.3f}mT"
             trace.write_csv(out.path(f"trace_{tag}.csv"))
             trace.write_sidecar(out.path(f"trace_{tag}.json"))
-            fit, residual, spec, peaks = _analyze(trace, cfg, abs(cfg.model.gamma_H * (cfg.model.B_min + db_mt * 1e-3)))
+            params = cfg.model.at_detuning(db_mt * 1e-3)
+            fit, residual, spec, peaks = _analyze(trace, cfg, params.proton_larmor())
             spec.write_csv(out.path(f"spectrum_{tag}.csv"))
             bin_hz = spec.bin_width
-            b0s.append(cfg.model.B_min + db_mt * 1e-3)
+            b0s.append(params.B0)
             peaks_per_field.append(peaks)
             tm_rows.append((db_mt, fit))
         rows = analysis.peak_map(b0s, peaks_per_field, cfg.model.gamma_H, bin_hz)

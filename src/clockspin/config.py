@@ -19,6 +19,10 @@ class AnalysisOptions:
     spectrum_mode: str = "simulation"
     peak_threshold: float = 0.1
 
+    def __post_init__(self):
+        if not 0 < self.peak_threshold < 1:
+            raise ValueError("peak_threshold must lie in (0, 1)")
+
 
 @dataclass
 class RunConfig:

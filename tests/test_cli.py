@@ -98,6 +98,24 @@ class TestZeemanCommand:
         assert exc.value.code == 1
 
 
+class TestInputContract:
+    @pytest.mark.parametrize("line", [
+        "tau_step_us = 0",
+        "A_mean_MHz = inf",
+        "psc_ratio = -1",
+        "peak_threshold = 2",
+    ])
+    def test_invalid_value_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "bad"
+        rc = main(["echo", "--preset", "n1", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("clockspin: usage error: ")
+        assert not out.exists()
+
+
 class TestEchoCommand:
     def test_n0_constant_trace_no_peaks(self, tmp_path):
         cfg = tmp_path / "n0.cfg"

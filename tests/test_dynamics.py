@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from clockspin import constants
+from clockspin import constants, dynamics
 from clockspin.bath import BathRealization, BathSpec, sample_bath
 from clockspin.dynamics import (
     SequenceConfig,
@@ -28,6 +28,14 @@ def two_protons():
         a_sc=np.array([1e6, 1.3e6]), a_psc=np.array([0.5e6, 0.65e6]),
         theta=np.array([[0.0, 0.4], [0.4, 0.0]]), d_pair=10e3,
     )
+
+
+def n5_bath():
+    return sample_bath(BathSpec(n_nuclei=5), 0)
+
+
+def n7_bath():
+    return sample_bath(BathSpec(n_nuclei=7), 0)
 
 
 def replayed_reference(params, bath, seq, trace):
@@ -217,6 +225,10 @@ class TestHahnEcho:
     @pytest.mark.parametrize("bath_fn,detuning", [
         (single_proton, 20e-3),
         (two_protons, 2e-3),
+        (n5_bath, 2e-3),
+        (n5_bath, -2e-3),
+        (n7_bath, 2e-3),
+        (n7_bath, -2e-3),
     ])
     def test_block_engine_matches_full_reference(self, bath_fn, detuning):
         seq = SequenceConfig(tau_step=200e-9, tau_max=10e-6)
@@ -287,3 +299,21 @@ class TestFieldSweep:
         swept = field_sweep(ModelParams(), spec, seq, [1e-3])
         assert swept[0].meta["detuning_T"] == pytest.approx(1e-3)
         assert swept[0].meta["n_realizations"] == 2
+
+    def test_calibrates_once_per_field(self, monkeypatch):
+        calls = []
+
+        def counting(h_electronic):
+            calls.append(h_electronic)
+            return calibrate_pulses(h_electronic)
+
+        monkeypatch.setattr(dynamics, "calibrate_pulses", counting)
+        spec = BathSpec(n_nuclei=1, n_realizations=3, seed=5)
+        seq = SequenceConfig(tau_step=200e-9, tau_max=2e-6)
+        swept = field_sweep(ModelParams(), spec, seq, [-1e-3, 0.0, 1e-3])
+        assert len(calls) == 3
+        # the angles calibrated in the sweep are the ones a direct call finds
+        p = ModelParams().at_detuning(1e-3)
+        direct = hahn_echo_trace(p, sample_bath(spec, 0), seq)
+        assert len(calls) == 4
+        assert swept[2].meta["sequence"] == direct.meta["sequence"]
