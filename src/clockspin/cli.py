@@ -77,7 +77,7 @@ def _load_run_config(args) -> config.RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, bath=replace(cfg.bath, seed=args.seed))
     if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
+        cfg = replace(cfg, jobs=args.jobs)
     if getattr(args, "out", None):
         cfg.out_dir = args.out
     for attr, key in (
@@ -156,6 +156,7 @@ def cmd_zeeman(args) -> int:
 def cmd_echo(args) -> int:
     cfg = _load_run_config(args)
     detuning_mt = args.detuning_mt if args.detuning_mt is not None else cfg.detuning_mt
+    cfg.jobs = dynamics.worker_count(cfg.jobs, cfg.bath.n_realizations)
     out = _OutputSession(Path(cfg.out_dir))
     _write_json_atomic(
         _manifest(cfg, "echo", {"detuning_mT": detuning_mt}),
@@ -190,6 +191,7 @@ def cmd_sweep(args) -> int:
     grid_mt = cfg.detuning_grid_mt()
     if grid_mt.size == 0:
         raise ValueError("detuning grid is empty")
+    cfg.jobs = dynamics.worker_count(cfg.jobs, grid_mt.size * cfg.bath.n_realizations)
     out = _OutputSession(Path(cfg.out_dir))
     _write_json_atomic(
         _manifest(cfg, "sweep", {"detuning_grid_mT": [float(x) for x in grid_mt]}),

@@ -38,7 +38,11 @@ class RunConfig:
     zeeman_stop_mt: float = 350.0
     zeeman_step_mt: float = 0.5
     out_dir: str = "runs"
-    jobs: int = 1
+    jobs: int | None = None         # None: dynamics.worker_count picks the default
+
+    def __post_init__(self):
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
     def detuning_grid_mt(self):
         import numpy as np

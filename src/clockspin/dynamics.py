@@ -23,6 +23,8 @@ complex flops (two d/2 x d x d products) for the d = 2 * 2**N block; the
 identity is exact, not an approximation.
 """
 
+import contextlib
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -37,6 +39,13 @@ from .errors import CalibrationError
 from .hamiltonian import ModelParams
 
 _TAU_CHUNK = 16
+
+# Thread-count setters an OpenBLAS build may export, by symbol suffix and
+# vendor prefix (numpy and scipy wheels each bundle a prefixed copy).
+_OPENBLAS_SET_THREADS = (
+    "openblas_set_num_threads", "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+)
 
 
 @dataclass(frozen=True)
@@ -227,13 +236,88 @@ def _sweep_job(args):
     return trace
 
 
+def _openblas_thread_controls():
+    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this
+    process; empty where ``/proc/self/maps`` cannot be read."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:     # the mapped file is gone, e.g. "(deleted)"
+            continue
+        for set_name in _OPENBLAS_SET_THREADS:
+            get_name = set_name.replace("_set_", "_get_")
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                controls.append((get_threads, set_threads))
+    return controls
+
+
+def _pin_blas_to_one_thread():
+    """Pool initializer: the workers share the cores, so each BLAS runs serially."""
+    for _, set_threads in _openblas_thread_controls():
+        set_threads(1)
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the body on one OpenBLAS thread, then restore the thread counts."""
+    controls = _openblas_thread_controls()
+    saved = [get_threads() for get_threads, _ in controls]
+    try:
+        for _, set_threads in controls:
+            set_threads(1)
+        yield
+    finally:
+        for (_, set_threads), n in zip(controls, saved):
+            set_threads(n)
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    # The platform's start method (fork on Linux): forked workers skip the
+    # package import and inherit any instrumentation of the parent.
+    return ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_to_one_thread)
+
+
+def worker_count(jobs: int | None, n_traces: int) -> int:
+    """Worker processes for a sweep of ``n_traces`` independent traces.
+
+    ``jobs=None`` asks for the default: one worker per usable CPU, each with a
+    single-threaded OpenBLAS.  Where no OpenBLAS thread count can be set, the
+    default is 1, one process whose BLAS threads share the cores.  The count
+    never exceeds ``n_traces``; 1 runs the traces in-process, without a pool.
+    """
+    if jobs is None:
+        if _openblas_thread_controls():
+            try:
+                jobs = len(os.sched_getaffinity(0))
+            except AttributeError:
+                jobs = os.cpu_count() or 1
+        else:
+            jobs = 1
+    elif jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    return max(1, min(jobs, n_traces))
+
+
 def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
-                jobs: int = 1):
+                jobs: int | None = None):
     """Ensemble-averaged echo traces over a detuning grid.
 
-    Every (field, realization) pair is an independent job; results are merged
-    by (field index, realization index), so the output is identical for any
-    worker count.
+    Every (field, realization) pair is an independent job, run on
+    ``worker_count(jobs, ...)`` processes, each trace on one BLAS thread
+    unless it is the only one; results are merged by (field index,
+    realization index), so the output is identical for any worker count.
     """
     detunings = np.asarray(detunings, dtype=float)
     if detunings.size == 0:
@@ -244,11 +328,17 @@ def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
         phi_half, phi_pi = _resolved_angles(params.at_detuning(db), seq)
         seq_db = replace(seq, phi_half=phi_half, phi_pi=phi_pi)
         jobs_args += [(params, spec, seq_db, db, idx) for idx in range(spec.n_realizations)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(jobs_args))
+    if workers > 1:
+        with _worker_pool(workers) as pool:
             results = list(pool.map(_sweep_job, jobs_args, chunksize=1))
     else:
-        results = [_sweep_job(a) for a in jobs_args]
+        # OpenBLAS rounds differently on another thread count (eigh and GEMM
+        # at d >= 128 with OpenBLAS 0.3.31), so traces that a pool could run
+        # take one BLAS thread here too; only a lone trace, which always runs
+        # in-process, keeps the BLAS threads.
+        with _single_threaded_blas() if len(jobs_args) > 1 else contextlib.nullcontext():
+            results = [_sweep_job(a) for a in jobs_args]
 
     averaged = []
     nr = spec.n_realizations

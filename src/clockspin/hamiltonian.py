@@ -17,6 +17,7 @@ H_tot as those two blocks and never forms the full 3 * 2**N matrix.
 """
 
 import csv
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,6 +97,28 @@ def build_electronic(p: ModelParams) -> np.ndarray:
     return h
 
 
+@functools.lru_cache(maxsize=4)
+def _bath_operators(n_nuclei: int):
+    """Bath-space operators shared by every realization with ``n_nuclei`` spins.
+
+    Returns:
+        ``(ix, iy, iz, pair)``: per-site tuples of the embedded spin-1/2
+        generators, and ``pair[m, n] = 2 Iz Iz - Ix Ix - Iy Iy`` for m < n.
+        The arrays are read-only because every caller shares them.
+    """
+    sx, sy, sz = spinops.spin_half_generators()
+    ix = tuple(spinops.embed_bath(sx, m, n_nuclei) for m in range(n_nuclei))
+    iy = tuple(spinops.embed_bath(sy, m, n_nuclei) for m in range(n_nuclei))
+    iz = tuple(spinops.embed_bath(sz, m, n_nuclei) for m in range(n_nuclei))
+    pair = {
+        (m, n): 2.0 * iz[m] @ iz[n] - ix[m] @ ix[n] - iy[m] @ iy[n]
+        for m in range(n_nuclei) for n in range(m + 1, n_nuclei)
+    }
+    for op in (*ix, *iy, *iz, *pair.values()):
+        op.flags.writeable = False
+    return ix, iy, iz, pair
+
+
 def bath_hamiltonian_matrix(p: ModelParams, bath, n_nuclei: int) -> np.ndarray:
     """Intra-bath Hamiltonian on the bath-only space (dim 2**N).
 
@@ -107,21 +130,15 @@ def bath_hamiltonian_matrix(p: ModelParams, bath, n_nuclei: int) -> np.ndarray:
     """
     if len(bath.a_sc) != n_nuclei:
         raise ValueError(f"bath has {len(bath.a_sc)} nuclei but N = {n_nuclei}")
-    ix, iy, iz = spinops.spin_half_generators()
+    _, _, iz, pair = _bath_operators(n_nuclei)
     dim = 2**n_nuclei
     h = np.zeros((dim, dim), dtype=complex)
     for m in range(n_nuclei):
-        h -= p.gamma_H * p.B0 * spinops.embed_bath(iz, m, n_nuclei)
+        h -= p.gamma_H * p.B0 * iz[m]
     for m in range(n_nuclei):
-        izm = spinops.embed_bath(iz, m, n_nuclei)
-        ixm = spinops.embed_bath(ix, m, n_nuclei)
-        iym = spinops.embed_bath(iy, m, n_nuclei)
         for n in range(m + 1, n_nuclei):
             ang = 3.0 * np.cos(bath.theta[m, n]) ** 2 - 1.0
-            izn = spinops.embed_bath(iz, n, n_nuclei)
-            ixn = spinops.embed_bath(ix, n, n_nuclei)
-            iyn = spinops.embed_bath(iy, n, n_nuclei)
-            h -= bath.d_pair * ang * (2.0 * izm @ izn - ixm @ ixn - iym @ iyn)
+            h -= bath.d_pair * ang * pair[m, n]
     return h
 
 
@@ -137,11 +154,10 @@ def block_hamiltonians(params: ModelParams, bath):
     nb = 2**n
     eye_b = np.eye(nb, dtype=complex)
     if n:
-        ix, iy, iz = spinops.spin_half_generators()
+        ix, iy, iz, _ = _bath_operators(n)
         b_op = np.zeros((nb, nb), dtype=complex)
         for m in range(n):
-            nuc = bath.a_sc[m] * iz + bath.a_psc[m] * (ix + iy)
-            b_op += spinops.embed_bath(nuc, m, n)
+            b_op += bath.a_sc[m] * iz[m] + bath.a_psc[m] * (ix[m] + iy[m])
         h_i = bath_hamiltonian_matrix(params, bath, n)
     else:
         b_op = np.zeros((1, 1), dtype=complex)

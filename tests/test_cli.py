@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from clockspin import dynamics
 from clockspin.cli import main
 from clockspin.config import RunConfig, apply_preset, parse_config_text
 
@@ -104,6 +105,8 @@ class TestInputContract:
         "A_mean_MHz = inf",
         "psc_ratio = -1",
         "peak_threshold = 2",
+        "jobs = 0",
+        "jobs = -3",
     ])
     def test_invalid_value_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -113,6 +116,15 @@ class TestInputContract:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("clockspin: usage error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_flag_below_one_is_usage_error(self, tmp_path, capsys, n2_config, jobs):
+        out = tmp_path / "bad"
+        rc = main(["sweep", "--config", str(n2_config), "--out", str(out), "--jobs", jobs])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["clockspin: usage error: jobs must be at least 1"]
         assert not out.exists()
 
 
@@ -178,6 +190,22 @@ class TestSweepCommand:
         for name in names:
             if name.endswith(".csv"):
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_default_jobs_matches_serial_bytes(self, tmp_path, n2_config):
+        args = ["sweep", "--config", str(n2_config),
+                "--start-mT", "-1", "--stop-mT", "1", "--step-mT", "1"]
+        default, serial = tmp_path / "default", tmp_path / "serial"
+        assert main(args + ["--out", str(default)]) == 0
+        assert main(args + ["--out", str(serial), "--jobs", "1"]) == 0
+        names = sorted(p.name for p in default.iterdir())
+        assert names == sorted(p.name for p in serial.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (default / name).read_bytes() == (serial / name).read_bytes(), name
+        # the manifests record the resolved worker count: 3 fields x 2 realizations
+        manifest = json.loads((default / "manifest.json").read_text())
+        assert manifest["config"]["jobs"] == dynamics.worker_count(None, 6)
+        assert json.loads((serial / "manifest.json").read_text())["config"]["jobs"] == 1
 
     def test_seed_changes_output(self, tmp_path, n2_config):
         base = ["sweep", "--config", str(n2_config),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -271,6 +273,11 @@ class TestHahnEcho:
             hahn_echo_trace(ModelParams(), None, SequenceConfig(), method="full")
 
 
+def _blas_thread_counts():
+    """Thread count of every OpenBLAS in the calling process."""
+    return [get_threads() for get_threads, _ in dynamics._openblas_thread_controls()]
+
+
 class TestFieldSweep:
     def test_single_field_single_realization_equals_direct(self):
         spec = BathSpec(n_nuclei=2, n_realizations=1, seed=5)
@@ -292,6 +299,61 @@ class TestFieldSweep:
         parallel = field_sweep(p, spec, seq, [0.0, 2e-3], jobs=2)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.intensity, b.intensity)
+
+    def test_pool_worker_blas_is_single_threaded(self):
+        if not dynamics._openblas_thread_controls():
+            pytest.skip("no OpenBLAS with a settable thread count is loaded")
+        parent = _blas_thread_counts()
+        with dynamics._worker_pool(1) as pool:
+            worker = pool.submit(_blas_thread_counts).result(timeout=60)
+        assert worker and all(n == 1 for n in worker)
+        assert _blas_thread_counts() == parent
+
+    def test_in_process_sweep_restores_blas_threads(self, monkeypatch):
+        seen = []
+        sweep_job = dynamics._sweep_job
+        monkeypatch.setattr(dynamics, "_sweep_job",
+                            lambda args: seen.append(_blas_thread_counts()) or sweep_job(args))
+        parent = _blas_thread_counts()
+        spec = BathSpec(n_nuclei=1, n_realizations=2, seed=5)
+        field_sweep(ModelParams(), spec, SequenceConfig(tau_max=2e-6), [1e-3], jobs=1)
+        assert all(n == 1 for counts in seen for n in counts)
+        assert _blas_thread_counts() == parent
+
+    def test_worker_count_keeps_bits_at_n6(self):
+        # d = 128: OpenBLAS eigh and GEMM round differently on 1 and 2 threads
+        spec = BathSpec(n_nuclei=6, n_realizations=2, seed=5)
+        seq = SequenceConfig(tau_max=3e-6)
+        serial = field_sweep(ModelParams(), spec, seq, [2e-3], jobs=1)
+        parallel = field_sweep(ModelParams(), spec, seq, [2e-3], jobs=2)
+        assert np.array_equal(serial[0].intensity, parallel[0].intensity)
+
+    def test_default_worker_count(self, monkeypatch):
+        # Resolved without starting a process: CPUs and the BLAS are faked.
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        monkeypatch.setattr(dynamics, "_openblas_thread_controls", lambda: [(None, None)])
+        assert dynamics.worker_count(None, 3) == 3
+        assert dynamics.worker_count(None, 100) == 8
+        assert dynamics.worker_count(5, 100) == 5
+        assert dynamics.worker_count(5, 2) == 2
+        monkeypatch.setattr(dynamics, "_openblas_thread_controls", lambda: [])
+        assert dynamics.worker_count(None, 100) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            dynamics.worker_count(jobs, 4)
+
+    def test_one_worker_runs_without_pool(self, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError(f"pool of {workers} started")
+
+        monkeypatch.setattr(dynamics, "_worker_pool", no_pool)
+        spec = BathSpec(n_nuclei=1, n_realizations=1, seed=5)
+        seq = SequenceConfig(tau_step=200e-9, tau_max=2e-6)
+        field_sweep(ModelParams(), spec, seq, [1e-3])               # default, 1 trace
+        field_sweep(ModelParams(), replace(spec, n_realizations=3), seq, [1e-3], jobs=1)
 
     def test_metadata_fields(self):
         spec = BathSpec(n_nuclei=1, n_realizations=2, seed=5)

@@ -4,6 +4,7 @@ import pytest
 from clockspin.bath import BathRealization, BathSpec, sample_bath
 from clockspin.hamiltonian import (
     ModelParams,
+    _bath_operators,
     analytic_doublet_gap,
     bath_hamiltonian_matrix,
     block_hamiltonians,
@@ -181,6 +182,13 @@ class TestBathHamiltonian:
         p = ModelParams()  # detuning zero
         h = bath_hamiltonian_matrix(p, single_proton(), 1)
         assert np.max(np.abs(h)) > 0.4e6
+
+    def test_cached_operators_are_read_only(self):
+        # every realization with the same N shares them
+        ix, iy, iz, pair = _bath_operators(2)
+        for op in (*ix, *iy, *iz, pair[0, 1]):
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
 
 
 class TestTotal:
