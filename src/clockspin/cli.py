@@ -77,7 +77,7 @@ def _load_run_config(args) -> config.RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, bath=replace(cfg.bath, seed=args.seed))
     if getattr(args, "jobs", None) is not None:
-        cfg = replace(cfg, jobs=args.jobs)
+        cfg.jobs = args.jobs
     if getattr(args, "out", None):
         cfg.out_dir = args.out
     for attr, key in (

@@ -40,10 +40,6 @@ class RunConfig:
     out_dir: str = "runs"
     jobs: int | None = None         # None: dynamics.worker_count picks the default
 
-    def __post_init__(self):
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-
     def detuning_grid_mt(self):
         import numpy as np
 

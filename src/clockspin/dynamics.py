@@ -24,6 +24,7 @@ identity is exact, not an approximation.
 """
 
 import contextlib
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -284,9 +285,14 @@ def _single_threaded_blas():
 
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    # The platform's start method (fork on Linux): forked workers skip the
-    # package import and inherit any instrumentation of the parent.
-    return ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_to_one_thread)
+    # Fork wherever the platform has it (Python 3.14 defaults to forkserver on
+    # Linux): forked workers skip the package import and inherit any
+    # instrumentation of the parent.
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_pin_blas_to_one_thread,
+        mp_context=multiprocessing.get_context("fork") if fork else None,
+    )
 
 
 def worker_count(jobs: int | None, n_traces: int) -> int:
@@ -315,9 +321,9 @@ def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
     """Ensemble-averaged echo traces over a detuning grid.
 
     Every (field, realization) pair is an independent job, run on
-    ``worker_count(jobs, ...)`` processes, each trace on one BLAS thread
-    unless it is the only one; results are merged by (field index,
-    realization index), so the output is identical for any worker count.
+    ``worker_count(jobs, ...)`` processes, each trace on one BLAS thread;
+    results are merged by (field index, realization index), so the output is
+    identical for any worker count.
     """
     detunings = np.asarray(detunings, dtype=float)
     if detunings.size == 0:
@@ -334,10 +340,9 @@ def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
             results = list(pool.map(_sweep_job, jobs_args, chunksize=1))
     else:
         # OpenBLAS rounds differently on another thread count (eigh and GEMM
-        # at d >= 128 with OpenBLAS 0.3.31), so traces that a pool could run
-        # take one BLAS thread here too; only a lone trace, which always runs
-        # in-process, keeps the BLAS threads.
-        with _single_threaded_blas() if len(jobs_args) > 1 else contextlib.nullcontext():
+        # at d >= 128 with OpenBLAS 0.3.31), so the traces take one BLAS
+        # thread here too, as in a pool worker.
+        with _single_threaded_blas():
             results = [_sweep_job(a) for a in jobs_args]
 
     averaged = []

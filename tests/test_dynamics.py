@@ -316,8 +316,10 @@ class TestFieldSweep:
                             lambda args: seen.append(_blas_thread_counts()) or sweep_job(args))
         parent = _blas_thread_counts()
         spec = BathSpec(n_nuclei=1, n_realizations=2, seed=5)
-        field_sweep(ModelParams(), spec, SequenceConfig(tau_max=2e-6), [1e-3], jobs=1)
-        assert all(n == 1 for counts in seen for n in counts)
+        seq = SequenceConfig(tau_max=2e-6)
+        field_sweep(ModelParams(), spec, seq, [1e-3], jobs=1)
+        field_sweep(ModelParams(), replace(spec, n_realizations=1), seq, [1e-3])  # lone trace
+        assert len(seen) == 3 and all(n == 1 for counts in seen for n in counts)
         assert _blas_thread_counts() == parent
 
     def test_worker_count_keeps_bits_at_n6(self):
@@ -372,7 +374,7 @@ class TestFieldSweep:
         monkeypatch.setattr(dynamics, "calibrate_pulses", counting)
         spec = BathSpec(n_nuclei=1, n_realizations=3, seed=5)
         seq = SequenceConfig(tau_step=200e-9, tau_max=2e-6)
-        swept = field_sweep(ModelParams(), spec, seq, [-1e-3, 0.0, 1e-3])
+        swept = field_sweep(ModelParams(), spec, seq, [-1e-3, 0.0, 1e-3], jobs=1)
         assert len(calls) == 3
         # the angles calibrated in the sweep are the ones a direct call finds
         p = ModelParams().at_detuning(1e-3)
