@@ -6,6 +6,7 @@ any result file) that suffices to reproduce the run bit for bit.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -33,37 +34,33 @@ def _write_json_atomic(payload: dict, path: Path):
     os.replace(tmp, path)
 
 
-class _OutputSession:
-    """Tracks result files so partial outputs are removed on failure."""
+@contextlib.contextmanager
+def _run_directory(cfg: config.RunConfig, command: str, **extra):
+    """Open ``cfg.out_dir`` for one run and yield a function that names a result file.
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.files = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+    The manifest is written first; if the body raises, the result files named
+    so far are removed and the manifest is left to show what was attempted.
+    """
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json_atomic(
+        {"software": "clockspin", "version": __version__, "command": command,
+         "config": cfg.describe(), **extra},
+        out_dir / "manifest.json",
+    )
+    results = []
 
-    def path(self, name: str) -> Path:
-        p = self.out_dir / name
-        self.files.append(p)
-        return p
+    def result(name: str) -> Path:
+        results.append(out_dir / name)
+        return results[-1]
 
-    def cleanup(self):
-        for p in self.files:
-            try:
-                p.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-
-def _manifest(cfg: config.RunConfig, command: str, extra: dict | None = None) -> dict:
-    payload = {
-        "software": "clockspin",
-        "version": __version__,
-        "command": command,
-        "config": cfg.describe(),
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+    try:
+        yield result
+    except BaseException:
+        for path in results:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        raise
 
 
 def _load_run_config(args) -> config.RunConfig:
@@ -80,13 +77,13 @@ def _load_run_config(args) -> config.RunConfig:
         cfg.jobs = args.jobs
     if getattr(args, "out", None):
         cfg.out_dir = args.out
-    for attr, key in (
-        ("start_mt", "start"), ("stop_mt", "stop"), ("step_mt", "step"),
-    ):
-        val = getattr(args, key + "_mt", None)
+    if getattr(args, "detuning_mt", None) is not None:
+        cfg.detuning_mt = args.detuning_mt
+    prefix = "zeeman_" if args.subcommand == "zeeman" else "detuning_"
+    for name in ("start_mt", "stop_mt", "step_mt"):
+        val = getattr(args, name, None)
         if val is not None:
-            prefix = "zeeman_" if args.subcommand == "zeeman" else "detuning_"
-            setattr(cfg, prefix + attr, val)
+            setattr(cfg, prefix + name, val)
     return cfg
 
 
@@ -137,67 +134,45 @@ def _write_peaks_csv(peaks, path):
 def cmd_zeeman(args) -> int:
     cfg = _load_run_config(args)
     grid_mt = cfg.zeeman_grid_mt()
-    if grid_mt.size == 0:
-        raise ValueError("zeeman field range is empty")
-    out = _OutputSession(Path(cfg.out_dir))
-    _write_json_atomic(_manifest(cfg, "zeeman"), out.out_dir / "manifest.json")
-    try:
+    with _run_directory(cfg, "zeeman") as result:
         from .hamiltonian import clock_frequency_curve
 
         spectrum = clock_frequency_curve(cfg.model, grid_mt * 1e-3)
-        spectrum.write_csv(out.path("electron_spectrum.csv"))
-    except BaseException:
-        out.cleanup()
-        raise
-    print(f"zeeman: wrote {out.out_dir / 'electron_spectrum.csv'} ({grid_mt.size} fields)")
+        path = result("electron_spectrum.csv")
+        spectrum.write_csv(path)
+    print(f"zeeman: wrote {path} ({grid_mt.size} fields)")
     return 0
 
 
 def cmd_echo(args) -> int:
     cfg = _load_run_config(args)
-    detuning_mt = args.detuning_mt if args.detuning_mt is not None else cfg.detuning_mt
+    params = cfg.model.at_detuning(cfg.detuning_mt * 1e-3)
     cfg.jobs = dynamics.worker_count(cfg.jobs, cfg.bath.n_realizations)
-    out = _OutputSession(Path(cfg.out_dir))
-    _write_json_atomic(
-        _manifest(cfg, "echo", {"detuning_mT": detuning_mt}),
-        out.out_dir / "manifest.json",
-    )
-    try:
-        params = cfg.model.at_detuning(detuning_mt * 1e-3)
+    with _run_directory(cfg, "echo", detuning_mT=cfg.detuning_mt) as result:
         (avg,) = dynamics.field_sweep(cfg.model, cfg.bath, cfg.sequence,
-                                      [detuning_mt * 1e-3], jobs=cfg.jobs)
+                                      [cfg.detuning_mt * 1e-3], jobs=cfg.jobs)
         fit, residual, spec, peaks = _analyze(avg, cfg, params.proton_larmor())
         rows = analysis.peak_map([params.B0], [peaks], params.gamma_H, spec.bin_width)
         # peak_map emits a row at the exact frequency of every peak
         labels = {r.freq: r.label for r in rows}
         for p in peaks:
             p.label = labels[p.freq]
-        avg.write_csv(out.path("trace.csv"))
-        avg.write_sidecar(out.path("trace.json"))
-        residual.write_csv(out.path("residual.csv"))
-        spec.write_csv(out.path("spectrum.csv"))
-        _write_peaks_csv(peaks, out.path("peaks.csv"))
-        _write_fit_json(fit, out.path("fit.json"))
-    except BaseException:
-        out.cleanup()
-        raise
-    print(f"echo: detuning {detuning_mt:+.3f} mT, {len(peaks)} peaks, "
-          f"T_m = {fit.t_m * 1e6:.3f} us -> {out.out_dir}")
+        avg.write_csv(result("trace.csv"))
+        avg.write_sidecar(result("trace.json"))
+        residual.write_csv(result("residual.csv"))
+        spec.write_csv(result("spectrum.csv"))
+        _write_peaks_csv(peaks, result("peaks.csv"))
+        _write_fit_json(fit, result("fit.json"))
+    print(f"echo: detuning {cfg.detuning_mt:+.3f} mT, {len(peaks)} peaks, "
+          f"T_m = {fit.t_m * 1e6:.3f} us -> {Path(cfg.out_dir)}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
     grid_mt = cfg.detuning_grid_mt()
-    if grid_mt.size == 0:
-        raise ValueError("detuning grid is empty")
     cfg.jobs = dynamics.worker_count(cfg.jobs, grid_mt.size * cfg.bath.n_realizations)
-    out = _OutputSession(Path(cfg.out_dir))
-    _write_json_atomic(
-        _manifest(cfg, "sweep", {"detuning_grid_mT": [float(x) for x in grid_mt]}),
-        out.out_dir / "manifest.json",
-    )
-    try:
+    with _run_directory(cfg, "sweep", detuning_grid_mT=[float(x) for x in grid_mt]) as result:
         averaged = dynamics.field_sweep(
             cfg.model, cfg.bath, cfg.sequence, grid_mt * 1e-3, jobs=cfg.jobs
         )
@@ -205,20 +180,20 @@ def cmd_sweep(args) -> int:
         bin_hz = None
         for db_mt, trace in zip(grid_mt, averaged):
             tag = f"{db_mt:+08.3f}mT"
-            trace.write_csv(out.path(f"trace_{tag}.csv"))
-            trace.write_sidecar(out.path(f"trace_{tag}.json"))
+            trace.write_csv(result(f"trace_{tag}.csv"))
+            trace.write_sidecar(result(f"trace_{tag}.json"))
             params = cfg.model.at_detuning(db_mt * 1e-3)
             fit, residual, spec, peaks = _analyze(trace, cfg, params.proton_larmor())
-            spec.write_csv(out.path(f"spectrum_{tag}.csv"))
+            spec.write_csv(result(f"spectrum_{tag}.csv"))
             bin_hz = spec.bin_width
             b0s.append(params.B0)
             peaks_per_field.append(peaks)
             tm_rows.append((db_mt, fit))
         rows = analysis.peak_map(b0s, peaks_per_field, cfg.model.gamma_H, bin_hz)
-        analysis.write_peak_map_csv(rows, out.path("peak_map.csv"))
+        analysis.write_peak_map_csv(rows, result("peak_map.csv"))
         import csv
 
-        with open(out.path("tm_vs_detuning.csv"), "w", newline="") as fh:
+        with open(result("tm_vs_detuning.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["detuning_mT", "B0_mT", "T_m_us", "x", "I0", "residual", "no_decay"])
             for db_mt, fit in tm_rows:
@@ -231,10 +206,8 @@ def cmd_sweep(args) -> int:
                     f"{fit.residual_norm:.17g}",
                     str(fit.no_decay),
                 ])
-    except BaseException:
-        out.cleanup()
-        raise
-    print(f"sweep: {grid_mt.size} fields x {cfg.bath.n_realizations} realizations -> {out.out_dir}")
+    print(f"sweep: {grid_mt.size} fields x {cfg.bath.n_realizations} realizations "
+          f"-> {Path(cfg.out_dir)}")
     return 0
 
 

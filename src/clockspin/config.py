@@ -8,6 +8,8 @@ units (mT, MHz, kHz, us, K); they are converted to SI internally.
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .bath import BathSpec
 from .dynamics import SequenceConfig
 from .hamiltonian import ModelParams
@@ -40,25 +42,23 @@ class RunConfig:
     out_dir: str = "runs"
     jobs: int | None = None         # None: dynamics.worker_count picks the default
 
-    def detuning_grid_mt(self):
-        import numpy as np
-
-        if self.detuning_step_mt <= 0:
-            raise ValueError("detuning_step_mT must be positive")
-        n = int(round((self.detuning_stop_mt - self.detuning_start_mt) / self.detuning_step_mt))
+    def _grid_mt(self, name: str):
+        """``{name}_start_mt`` to ``{name}_stop_mt`` in whole ``{name}_step_mt`` steps."""
+        start, stop, step = (getattr(self, f"{name}_{k}_mt") for k in ("start", "stop", "step"))
+        if not (np.isfinite(start) and np.isfinite(stop)):
+            raise ValueError(f"{name} range bounds must be finite")
+        if not (np.isfinite(step) and step > 0):
+            raise ValueError(f"{name}_step_mT must be positive and finite")
+        n = int(round((stop - start) / step))
         if n < 0:
-            raise ValueError("detuning range is empty")
-        return self.detuning_start_mt + self.detuning_step_mt * np.arange(n + 1)
+            raise ValueError(f"{name} range is empty")
+        return start + step * np.arange(n + 1)
+
+    def detuning_grid_mt(self):
+        return self._grid_mt("detuning")
 
     def zeeman_grid_mt(self):
-        import numpy as np
-
-        if self.zeeman_step_mt <= 0:
-            raise ValueError("zeeman_step_mT must be positive")
-        n = int(round((self.zeeman_stop_mt - self.zeeman_start_mt) / self.zeeman_step_mt))
-        if n < 0:
-            raise ValueError("zeeman range is empty")
-        return self.zeeman_start_mt + self.zeeman_step_mt * np.arange(n + 1)
+        return self._grid_mt("zeeman")
 
     def describe(self) -> dict:
         """Full parameter set for manifests (human-scale units)."""

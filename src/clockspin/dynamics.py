@@ -264,12 +264,6 @@ def _openblas_thread_controls():
     return controls
 
 
-def _pin_blas_to_one_thread():
-    """Pool initializer: the workers share the cores, so each BLAS runs serially."""
-    for _, set_threads in _openblas_thread_controls():
-        set_threads(1)
-
-
 @contextlib.contextmanager
 def _single_threaded_blas():
     """Run the body on one OpenBLAS thread, then restore the thread counts."""
@@ -286,12 +280,12 @@ def _single_threaded_blas():
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     # Fork wherever the platform has it (Python 3.14 defaults to forkserver on
-    # Linux): forked workers skip the package import and inherit any
-    # instrumentation of the parent.
+    # Linux): forked workers inherit the parent's OpenBLAS thread count, skip
+    # the package import and inherit any instrumentation of the parent.  A
+    # platform without fork has no /proc/self/maps, so no count to inherit.
     fork = "fork" in multiprocessing.get_all_start_methods()
     return ProcessPoolExecutor(
-        max_workers=workers, initializer=_pin_blas_to_one_thread,
-        mp_context=multiprocessing.get_context("fork") if fork else None,
+        max_workers=workers, mp_context=multiprocessing.get_context("fork") if fork else None,
     )
 
 
@@ -321,9 +315,10 @@ def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
     """Ensemble-averaged echo traces over a detuning grid.
 
     Every (field, realization) pair is an independent job, run on
-    ``worker_count(jobs, ...)`` processes, each trace on one BLAS thread;
-    results are merged by (field index, realization index), so the output is
-    identical for any worker count.
+    ``worker_count(jobs, ...)`` processes.  The sweep pins OpenBLAS to one
+    thread before it forks its workers, and the workers inherit that count, so
+    every trace runs on one BLAS thread; results are merged by (field index,
+    realization index), so the output is identical for any worker count.
     """
     detunings = np.asarray(detunings, dtype=float)
     if detunings.size == 0:
@@ -335,14 +330,14 @@ def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
         seq_db = replace(seq, phi_half=phi_half, phi_pi=phi_pi)
         jobs_args += [(params, spec, seq_db, db, idx) for idx in range(spec.n_realizations)]
     workers = worker_count(jobs, len(jobs_args))
-    if workers > 1:
-        with _worker_pool(workers) as pool:
-            results = list(pool.map(_sweep_job, jobs_args, chunksize=1))
-    else:
-        # OpenBLAS rounds differently on another thread count (eigh and GEMM
-        # at d >= 128 with OpenBLAS 0.3.31), so the traces take one BLAS
-        # thread here too, as in a pool worker.
-        with _single_threaded_blas():
+    # OpenBLAS rounds differently on another thread count (eigh and GEMM at
+    # d >= 128 with OpenBLAS 0.3.31), so every trace runs on one BLAS thread:
+    # the pool forks inside the pinned block and its workers inherit the count.
+    with _single_threaded_blas():
+        if workers > 1:
+            with _worker_pool(workers) as pool:
+                results = list(pool.map(_sweep_job, jobs_args))
+        else:
             results = [_sweep_job(a) for a in jobs_args]
 
     averaged = []

@@ -42,6 +42,9 @@ class ModelParams:
     gamma_H: float = constants.GAMMA_H
 
     def __post_init__(self):
+        for name in ("D", "E", "gamma_e", "B0", "B_min", "gamma_H"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if abs(self.E) >= abs(self.D):
             raise ValueError("anisotropy hierarchy requires |E| < |D|")
         if self.gamma_H <= 0:

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from clockspin import dynamics
+from clockspin import analysis, dynamics
 from clockspin.cli import main
 from clockspin.config import RunConfig, apply_preset, parse_config_text
+from clockspin.errors import ClockspinError
 
 N2_CONFIG = """
 # small deterministic configuration for CLI tests
@@ -107,6 +108,11 @@ class TestInputContract:
         "peak_threshold = 2",
         "jobs = 0",
         "jobs = -3",
+        "D_GHz = inf",
+        "E_GHz = nan",
+        "gamma_e_GHz_per_T = inf",
+        "B_min_mT = inf",
+        "gamma_H_MHz_per_T = nan",
     ])
     def test_invalid_value_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -125,6 +131,22 @@ class TestInputContract:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["clockspin: usage error: jobs must be at least 1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--stop-mT", "inf"],
+        ["sweep", "--step-mT", "inf"],
+        ["sweep", "--step-mT", "nan"],
+        ["zeeman", "--start-mT=-inf"],
+        ["echo", "--detuning-mT", "inf"],
+        ["echo", "--detuning-mT", "nan"],
+    ], ids=" ".join)
+    def test_non_finite_field_is_usage_error(self, tmp_path, capsys, n2_config, argv):
+        out = tmp_path / "bad"
+        rc = main(argv + ["--config", str(n2_config), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("clockspin: usage error: ")
         assert not out.exists()
 
 
@@ -175,6 +197,14 @@ class TestEchoCommand:
         assert manifest["config"]["bath"]["N"] == 2
         assert manifest["config"]["bath"]["seed"] == 42
 
+    def test_manifest_records_detuning_flag(self, tmp_path, n2_config):
+        out = tmp_path / "d"
+        assert main(["echo", "--config", str(n2_config), "--out", str(out),
+                     "--detuning-mT", "20"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["detuning_mT"] == 20.0
+        assert manifest["config"]["detuning_mT"] == 20.0
+
 
 class TestSweepCommand:
     def test_outputs_and_parallel_determinism(self, tmp_path, n2_config):
@@ -206,6 +236,17 @@ class TestSweepCommand:
         manifest = json.loads((default / "manifest.json").read_text())
         assert manifest["config"]["jobs"] == dynamics.worker_count(None, 6)
         assert json.loads((serial / "manifest.json").read_text())["config"]["jobs"] == 1
+
+    def test_failed_run_leaves_only_manifest(self, tmp_path, n2_config, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ClockspinError("peak map failed")
+
+        monkeypatch.setattr(analysis, "peak_map", fail)
+        out = tmp_path / "f"
+        rc = main(["sweep", "--config", str(n2_config), "--out", str(out),
+                   "--start-mT", "0", "--stop-mT", "1", "--step-mT", "1"])
+        assert rc == 2
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_seed_changes_output(self, tmp_path, n2_config):
         base = ["sweep", "--config", str(n2_config),

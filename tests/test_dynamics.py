@@ -304,7 +304,8 @@ class TestFieldSweep:
         if not dynamics._openblas_thread_controls():
             pytest.skip("no OpenBLAS with a settable thread count is loaded")
         parent = _blas_thread_counts()
-        with dynamics._worker_pool(1) as pool:
+        # the sweep forks its pool inside the pinned block; the workers inherit the count
+        with dynamics._single_threaded_blas(), dynamics._worker_pool(1) as pool:
             worker = pool.submit(_blas_thread_counts).result(timeout=60)
         assert worker and all(n == 1 for n in worker)
         assert _blas_thread_counts() == parent
