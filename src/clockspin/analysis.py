@@ -298,23 +298,6 @@ def effective_hyperfine(peaks, nu_h: float, bin_hz: float = 0.0) -> EffectiveCou
     )
 
 
-def modulation_depth(residual: EchoTrace, window, fit: DecayFit) -> float:
-    """Peak-to-peak residual over a time window, relative to the background.
-
-    ``window`` is ``(t_lo, t_hi)`` in the physical time variable t = 2 tau.
-    """
-    t_lo, t_hi = window
-    t = residual.times
-    mask = (t >= t_lo) & (t <= t_hi)
-    if not np.any(mask):
-        raise ValueError("window contains no samples")
-    seg = residual.intensity[mask]
-    background = abs(fit.evaluate(0.5 * (t_lo + t_hi)))
-    if background == 0.0:
-        raise ValueError("background vanishes at the window midpoint")
-    return float((seg.max() - seg.min()) / background)
-
-
 @dataclass
 class PeakMapRow:
     b0: float              # applied field, T

@@ -6,7 +6,6 @@ driven by a counter-based Philox generator keyed on ``(seed, index)``, so a
 realization is fully determined by those two integers on any platform.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,29 +59,6 @@ class BathRealization:
     @property
     def n_nuclei(self) -> int:
         return len(self.a_sc)
-
-    def to_json(self) -> str:
-        payload = {
-            "a_sc_hz": [f"{v:.17g}" for v in self.a_sc],
-            "a_psc_hz": [f"{v:.17g}" for v in self.a_psc],
-            "theta_rad": [[f"{v:.17g}" for v in row] for row in self.theta],
-            "d_pair_hz": f"{self.d_pair:.17g}",
-            "seed": self.seed,
-            "index": self.index,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BathRealization":
-        d = json.loads(text)
-        return cls(
-            a_sc=np.array([float(v) for v in d["a_sc_hz"]]),
-            a_psc=np.array([float(v) for v in d["a_psc_hz"]]),
-            theta=np.array([[float(v) for v in row] for row in d["theta_rad"]]),
-            d_pair=float(d["d_pair_hz"]),
-            seed=int(d["seed"]),
-            index=int(d["index"]),
-        )
 
 
 def sample_bath(spec: BathSpec, index: int) -> BathRealization:

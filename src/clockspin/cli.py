@@ -168,6 +168,18 @@ def cmd_echo(args) -> int:
     return 0
 
 
+def _sweep_field_job(args):
+    """Write one sweep field's trace and spectrum files; return
+    ``(B0, fit, peaks, bin_width)`` for the sweep's summary files."""
+    trace, cfg, db_mt, trace_csv, trace_json, spectrum_csv = args
+    trace.write_csv(trace_csv)
+    trace.write_sidecar(trace_json)
+    params = cfg.model.at_detuning(db_mt * 1e-3)
+    fit, _, spec, peaks = _analyze(trace, cfg, params.proton_larmor())
+    spec.write_csv(spectrum_csv)
+    return params.B0, fit, peaks, spec.bin_width
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
     grid_mt = cfg.detuning_grid_mt()
@@ -176,27 +188,25 @@ def cmd_sweep(args) -> int:
         averaged = dynamics.field_sweep(
             cfg.model, cfg.bath, cfg.sequence, grid_mt * 1e-3, jobs=cfg.jobs
         )
-        b0s, peaks_per_field, tm_rows = [], [], []
-        bin_hz = None
+        # Each field's writes and analysis are one job, run like the traces in
+        # forked one-BLAS-thread workers.  Every file is named here first, so a
+        # failed run removes them all.
+        field_jobs = []
         for db_mt, trace in zip(grid_mt, averaged):
             tag = f"{db_mt:+08.3f}mT"
-            trace.write_csv(result(f"trace_{tag}.csv"))
-            trace.write_sidecar(result(f"trace_{tag}.json"))
-            params = cfg.model.at_detuning(db_mt * 1e-3)
-            fit, residual, spec, peaks = _analyze(trace, cfg, params.proton_larmor())
-            spec.write_csv(result(f"spectrum_{tag}.csv"))
-            bin_hz = spec.bin_width
-            b0s.append(params.B0)
-            peaks_per_field.append(peaks)
-            tm_rows.append((db_mt, fit))
-        rows = analysis.peak_map(b0s, peaks_per_field, cfg.model.gamma_H, bin_hz)
+            field_jobs.append((trace, cfg, db_mt, result(f"trace_{tag}.csv"),
+                               result(f"trace_{tag}.json"), result(f"spectrum_{tag}.csv")))
+        fields = dynamics._pinned_map(_sweep_field_job, field_jobs,
+                                      dynamics.worker_count(cfg.jobs, len(field_jobs)))
+        b0s, fits, peaks_per_field, bin_widths = zip(*fields)
+        rows = analysis.peak_map(b0s, peaks_per_field, cfg.model.gamma_H, bin_widths[-1])
         analysis.write_peak_map_csv(rows, result("peak_map.csv"))
         import csv
 
         with open(result("tm_vs_detuning.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["detuning_mT", "B0_mT", "T_m_us", "x", "I0", "residual", "no_decay"])
-            for db_mt, fit in tm_rows:
+            for db_mt, fit in zip(grid_mt, fits):
                 w.writerow([
                     f"{db_mt:.17g}",
                     f"{(cfg.model.B_min * 1e3 + db_mt):.17g}",

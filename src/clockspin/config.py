@@ -15,6 +15,9 @@ from .dynamics import SequenceConfig
 from .hamiltonian import ModelParams
 
 
+_MAX_GRID_POINTS = 1_000_000     # largest field grid RunConfig builds
+
+
 @dataclass
 class AnalysisOptions:
     fit_model: str = "stretched"
@@ -43,15 +46,24 @@ class RunConfig:
     jobs: int | None = None         # None: dynamics.worker_count picks the default
 
     def _grid_mt(self, name: str):
-        """``{name}_start_mt`` to ``{name}_stop_mt`` in whole ``{name}_step_mt`` steps."""
+        """``{name}_start_mt`` to ``{name}_stop_mt`` in whole ``{name}_step_mt`` steps.
+
+        A grid has at most ``_MAX_GRID_POINTS`` (one million) points; a longer
+        or non-finite one is refused before it is built.
+        """
         start, stop, step = (getattr(self, f"{name}_{k}_mt") for k in ("start", "stop", "step"))
         if not (np.isfinite(start) and np.isfinite(stop)):
             raise ValueError(f"{name} range bounds must be finite")
         if not (np.isfinite(step) and step > 0):
             raise ValueError(f"{name}_step_mT must be positive and finite")
-        n = int(round((stop - start) / step))
+        steps = (stop - start) / step
+        if not np.isfinite(steps):
+            raise ValueError(f"{name} range has no finite number of steps")
+        n = int(round(steps))
         if n < 0:
             raise ValueError(f"{name} range is empty")
+        if n + 1 > _MAX_GRID_POINTS:
+            raise ValueError(f"{name} range has {n + 1} points, more than {_MAX_GRID_POINTS}")
         return start + step * np.arange(n + 1)
 
     def detuning_grid_mt(self):

@@ -21,6 +21,15 @@ and ``L = P_half diag(sqrt(w))`` a square root of the post-pulse state.
 Projecting onto the d/2 up-electron rows first makes each tau point cost d^3
 complex flops (two d/2 x d x d products) for the d = 2 * 2**N block; the
 identity is exact, not an approximation.
+
+The tau points are evolved in chunks of ``max(16, 8192 // (d/2 * d))``, so each
+chunk's ``(nt d/2 x d)`` GEMM operand holds about 8192 complex entries
+(128 KiB): 1024, 256 and 64 points at d = 4, 8 and 16, which spreads the
+per-chunk Python overhead of a small bath over many points.  The floor of 16
+points from d = 32 on keeps large baths at the chunk they always had, where
+the GEMMs already run near the BLAS peak and a longer chunk only adds memory.
+On one BLAS thread the echo's bits do not depend on the chunk length (the
+tests check N = 1 to 5).
 """
 
 import contextlib
@@ -38,8 +47,6 @@ from . import constants, hamiltonian, spinops
 from .echotrace import EchoTrace
 from .errors import CalibrationError
 from .hamiltonian import ModelParams
-
-_TAU_CHUNK = 16
 
 # Thread-count setters an OpenBLAS build may export, by symbol suffix and
 # vendor prefix (numpy and scipy wheels each bundle a prefixed copy).
@@ -78,6 +85,12 @@ class SequenceConfig:
         return self.tau_step * np.arange(1, n + 1)
 
 
+# The pulse generator J = {Sx,Sy} and the projector P onto m_S = +-1.
+_PULSE_J = spinops.spin1_generators()[3]
+_PULSE_P = np.diag([1.0, 0.0, 1.0]).astype(complex)
+_EYE3 = np.eye(3, dtype=complex)
+
+
 def _electron_pulse(phi: float) -> np.ndarray:
     """3x3 unitary ``exp[i phi {Sx,Sy}/2]`` in closed form.
 
@@ -85,13 +98,7 @@ def _electron_pulse(phi: float) -> np.ndarray:
     projector onto the m_S = +-1 subspace, so the exponential is
     ``1 + (cos(phi/2) - 1) P + i sin(phi/2) J``.
     """
-    _, _, _, ac, _, _ = spinops.spin1_generators()
-    proj = np.diag([1.0, 0.0, 1.0]).astype(complex)
-    return (
-        np.eye(3, dtype=complex)
-        + (np.cos(phi / 2.0) - 1.0) * proj
-        + 1j * np.sin(phi / 2.0) * ac
-    )
+    return _EYE3 + (np.cos(phi / 2.0) - 1.0) * _PULSE_P + 1j * np.sin(phi / 2.0) * _PULSE_J
 
 
 def calibrate_pulses(h_electronic: np.ndarray, tol: float = 1e-4):
@@ -176,6 +183,11 @@ def _block_pulse(phi: float, nb: int) -> np.ndarray:
     return np.kron(np.array([[c, s], [-s, c]], dtype=complex), np.eye(nb, dtype=complex))
 
 
+def _tau_chunk(d: int) -> int:
+    """Tau points per kernel chunk for a d-dimensional block (module docstring)."""
+    return max(16, 8192 // (d // 2 * d))
+
+
 def _echo_block_engine(params, bath, seq, tau):
     h2, h0 = hamiltonian.block_hamiltonians(params, bath)
     nb = h0.shape[0]
@@ -196,12 +208,14 @@ def _echo_block_engine(params, bath, seq, tau):
     # Half-rank identity (module docstring), with D = diag(exp(-i 2 pi f tau)):
     #   echo = 2 ||V_up D P_pi D L||_F^2 - sum(w),  Pi_up = V_up^dag V_up.
     # V_up has d/2 rows, so each tau chunk costs two (nt * d/2 x d) @ (d x d)
-    # GEMMs: d^3 complex flops per tau point.
+    # GEMMs: d^3 complex flops per tau point.  A chunk's GEMM operand holds
+    # about 8192 entries, and never fewer than 16 tau points (_tau_chunk).
     v_up = v2[:nb, :]
     l_half = p_half * np.sqrt(w2)
     intensity = np.empty(tau.size)
-    for start in range(0, tau.size, _TAU_CHUNK):
-        ts = tau[start:start + _TAU_CHUNK]
+    chunk = _tau_chunk(d)
+    for start in range(0, tau.size, chunk):
+        ts = tau[start:start + chunk]
         nt = ts.size
         u = np.exp(-2j * np.pi * np.outer(ts, f2))[:, None, :]    # (nt, 1, d)
         x = (v_up[None, :, :] * u).reshape(nt * nb, d) @ p_pi       # GEMM 1
@@ -289,6 +303,23 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     )
 
 
+def _pinned_map(fn, args, workers: int) -> list:
+    """``[fn(a) for a in args]``, every call on one OpenBLAS thread.
+
+    OpenBLAS rounds differently on another thread count (eigh and GEMM at
+    d >= 128 with OpenBLAS 0.3.31), so the map pins the count to one and, for
+    ``workers > 1``, forks its pool inside the pinned block: the workers
+    inherit the count and the results do not depend on ``workers``.  A failed
+    call cancels the calls not yet started (``Executor.map`` does so) and is
+    raised once the running ones have ended, so no call outlives the map.
+    """
+    with _single_threaded_blas():
+        if workers <= 1:
+            return [fn(a) for a in args]
+        with _worker_pool(workers) as pool:
+            return list(pool.map(fn, args))
+
+
 def worker_count(jobs: int | None, n_traces: int) -> int:
     """Worker processes for a sweep of ``n_traces`` independent traces.
 
@@ -315,9 +346,8 @@ def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
     """Ensemble-averaged echo traces over a detuning grid.
 
     Every (field, realization) pair is an independent job, run on
-    ``worker_count(jobs, ...)`` processes.  The sweep pins OpenBLAS to one
-    thread before it forks its workers, and the workers inherit that count, so
-    every trace runs on one BLAS thread; results are merged by (field index,
+    ``worker_count(jobs, ...)`` processes through ``_pinned_map``, so every
+    trace runs on one BLAS thread; results are merged by (field index,
     realization index), so the output is identical for any worker count.
     """
     detunings = np.asarray(detunings, dtype=float)
@@ -329,16 +359,7 @@ def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
         phi_half, phi_pi = _resolved_angles(params.at_detuning(db), seq)
         seq_db = replace(seq, phi_half=phi_half, phi_pi=phi_pi)
         jobs_args += [(params, spec, seq_db, db, idx) for idx in range(spec.n_realizations)]
-    workers = worker_count(jobs, len(jobs_args))
-    # OpenBLAS rounds differently on another thread count (eigh and GEMM at
-    # d >= 128 with OpenBLAS 0.3.31), so every trace runs on one BLAS thread:
-    # the pool forks inside the pinned block and its workers inherit the count.
-    with _single_threaded_blas():
-        if workers > 1:
-            with _worker_pool(workers) as pool:
-                results = list(pool.map(_sweep_job, jobs_args))
-        else:
-            results = [_sweep_job(a) for a in jobs_args]
+    results = _pinned_map(_sweep_job, jobs_args, worker_count(jobs, len(jobs_args)))
 
     averaged = []
     nr = spec.n_realizations

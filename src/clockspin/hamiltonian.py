@@ -223,25 +223,6 @@ def clock_frequency_curve(p: ModelParams, b_grid) -> ElectronSpectrum:
     return ElectronSpectrum(b_grid=b_grid, energies=energies, f=f, gamma_eff=gamma_eff)
 
 
-def analytic_doublet_gap(p: ModelParams, delta_b=None) -> float:
-    """Closed-form clock frequency ``2 sqrt(E^2 + (gamma_e dB)^2)``.
-
-    The E and Zeeman terms act only inside the {|up>, |down>} block, so the
-    lower doublet is an exact 2x2 problem.
-    """
-    db = p.detuning if delta_b is None else delta_b
-    return 2.0 * np.sqrt(p.E**2 + (p.gamma_e * db) ** 2)
-
-
-def ct_curvature(p: ModelParams) -> float:
-    """Curvature d^2 f/dB0^2 at the clock transition.
-
-    Equals ``4 gamma_e^2 / clock_gap`` in terms of the bare model gamma_e,
-    i.e. ``(2 gamma_e)^2 / gap`` in terms of the far-field slope 2*gamma_e.
-    """
-    return 4.0 * p.gamma_e**2 / p.clock_gap
-
-
 # Clock-transition eigenbasis |+> = (|up> + |down>)/sqrt(2),
 # |-> = (|up> - |down>)/sqrt(2); columns ordered (|+>, |->).
 _CT_BASIS = np.array(

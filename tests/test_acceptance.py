@@ -16,6 +16,7 @@ from clockspin.echotrace import EchoTrace
 from clockspin.errors import PeakExtractionError
 from clockspin.hamiltonian import ModelParams, build_electronic, clock_frequency_curve, eigensolve
 from clockspin.validate import echo_line_frequencies, trig_reconstruction_residual
+from support import modulation_depth
 
 GHZ = 1e9
 DEPTH_WINDOW = (2e-6, 30e-6)        # t = 2 tau window for modulation depth
@@ -82,7 +83,7 @@ def sweep_analysis(traces, grid_mt, params):
         residual = analysis.subtract_background(trace, fit)
         spec = analysis.spectrum(residual)
         peaks = analysis.find_peaks(spec, 0.1, f_min=0.3e6)
-        depth = analysis.modulation_depth(residual, DEPTH_WINDOW, fit)
+        depth = modulation_depth(residual, DEPTH_WINDOW, fit)
         rows[float(db_mt)] = {
             "trace": trace, "fit": fit, "spec": spec, "peaks": peaks,
             "depth": depth, "nu_h": nu_h,
@@ -179,7 +180,7 @@ class TestCriterion4N1Benchmark:
         trace = self._trace(0.0)
         fit = analysis.fit_decay(trace)
         residual = analysis.subtract_background(trace, fit)
-        depth = analysis.modulation_depth(residual, (2e-6, 190e-6), fit)
+        depth = modulation_depth(residual, (2e-6, 190e-6), fit)
         raw = (trace.intensity.max() - trace.intensity.min()) / abs(trace.intensity.mean())
         assert depth < 1e-8
         assert raw < 1e-6

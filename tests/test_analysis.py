@@ -6,13 +6,13 @@ from clockspin.analysis import (
     effective_hyperfine,
     find_peaks,
     fit_decay,
-    modulation_depth,
     peak_map,
     spectrum,
     subtract_background,
 )
 from clockspin.echotrace import EchoTrace
 from clockspin.errors import PeakExtractionError
+from support import modulation_depth
 
 
 def trace_from_t(values, tau_step=100e-9):

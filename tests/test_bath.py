@@ -3,13 +3,13 @@ import pytest
 
 from clockspin import constants
 from clockspin.bath import (
-    BathRealization,
     BathSpec,
     dipolar_strength,
     ensemble_average,
     sample_bath,
 )
 from clockspin.echotrace import EchoTrace
+from support import bath_from_json, bath_to_json
 
 
 class TestSampleBath:
@@ -84,7 +84,7 @@ class TestSampleBath:
 
     def test_json_roundtrip(self):
         r = sample_bath(BathSpec(), 4)
-        back = BathRealization.from_json(r.to_json())
+        back = bath_from_json(bath_to_json(r))
         assert np.array_equal(back.a_sc, r.a_sc)
         assert np.array_equal(back.theta, r.theta)
         assert back.seed == r.seed and back.index == r.index

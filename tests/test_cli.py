@@ -1,12 +1,13 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from clockspin import analysis, dynamics
+from clockspin import analysis, config, dynamics
 from clockspin.cli import main
 from clockspin.config import RunConfig, apply_preset, parse_config_text
-from clockspin.errors import ClockspinError
+from clockspin.errors import ClockspinError, FitError
 
 N2_CONFIG = """
 # small deterministic configuration for CLI tests
@@ -140,6 +141,9 @@ class TestInputContract:
         ["zeeman", "--start-mT=-inf"],
         ["echo", "--detuning-mT", "inf"],
         ["echo", "--detuning-mT", "nan"],
+        # finite bounds and step, but (stop - start) / step overflows
+        ["zeeman", "--start-mT=-1e308", "--stop-mT", "1e308"],
+        ["sweep", "--start-mT", "0", "--stop-mT", "1e300", "--step-mT", "1e-300"],
     ], ids=" ".join)
     def test_non_finite_field_is_usage_error(self, tmp_path, capsys, n2_config, argv):
         out = tmp_path / "bad"
@@ -148,6 +152,24 @@ class TestInputContract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("clockspin: usage error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["zeeman", "--start-mT", "0", "--stop-mT", "1e6", "--step-mT", "1"],
+        ["sweep", "--start-mT=-5e5", "--stop-mT", "5e5", "--step-mT", "1"],
+    ], ids=" ".join)
+    def test_grid_above_point_limit_is_usage_error(self, tmp_path, capsys, n2_config, argv):
+        # one point over the limit: refused before the grid, or any trace, exists
+        out = tmp_path / "bad"
+        rc = main(argv + ["--config", str(n2_config), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"clockspin: usage error: {argv[0].replace('sweep', 'detuning')} "
+                       f"range has 1000001 points, more than {config._MAX_GRID_POINTS}"]
+        assert not out.exists()
+
+    def test_grid_at_point_limit_is_built(self):
+        cfg = RunConfig(zeeman_start_mt=0.0, zeeman_stop_mt=999_999.0, zeeman_step_mt=1.0)
+        assert cfg.zeeman_grid_mt().size == config._MAX_GRID_POINTS == 1_000_000
 
 
 class TestEchoCommand:
@@ -247,6 +269,25 @@ class TestSweepCommand:
                    "--start-mT", "0", "--stop-mT", "1", "--step-mT", "1"])
         assert rc == 2
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    def test_failed_field_job_stops_the_pool(self, tmp_path, n2_config, monkeypatch):
+        # The forked workers inherit the patch, and every call leaves a line behind.
+        calls = tmp_path / "fit_calls"
+
+        def fail(*args, **kwargs):
+            with open(calls, "a") as fh:
+                fh.write(".\n")
+            time.sleep(0.1)
+            raise FitError("fit failed")
+
+        monkeypatch.setattr(analysis, "fit_decay", fail)
+        out = tmp_path / "f"
+        rc = main(["sweep", "--config", str(n2_config), "--out", str(out),
+                   "--start-mT", "-10", "--stop-mT", "10", "--step-mT", "1"])
+        assert rc == 2
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        # the jobs not yet started when the first failure came back never ran
+        assert len(calls.read_text().splitlines()) <= 10   # of 21 fields
 
     def test_seed_changes_output(self, tmp_path, n2_config):
         base = ["sweep", "--config", str(n2_config),

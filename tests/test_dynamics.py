@@ -273,6 +273,25 @@ class TestHahnEcho:
             hahn_echo_trace(ModelParams(), None, SequenceConfig(), method="full")
 
 
+class TestTauChunk:
+    def test_rule_values(self):
+        # about 8192 entries per (nt * d/2 x d) GEMM operand, never below 16 points
+        assert [dynamics._tau_chunk(d) for d in (4, 8, 16, 32, 256)] == [1024, 256, 64, 16, 16]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_chunk_length_keeps_bits(self, monkeypatch, n):
+        # 1000 tau points: one short chunk at N = 1, a short last chunk from N = 2 on
+        p = ModelParams().at_detuning(2e-3)
+        bath = sample_bath(BathSpec(n_nuclei=n), 0)
+        seq = SequenceConfig()
+        tau = seq.tau_grid()
+        with dynamics._single_threaded_blas():     # as every sweep runs the kernel
+            ruled, _, _ = dynamics._echo_block_engine(p, bath, seq, tau)
+            monkeypatch.setattr(dynamics, "_tau_chunk", lambda d: 16)
+            fixed, _, _ = dynamics._echo_block_engine(p, bath, seq, tau)
+        assert np.array_equal(ruled, fixed)
+
+
 def _blas_thread_counts():
     """Thread count of every OpenBLAS in the calling process."""
     return [get_threads() for get_threads, _ in dynamics._openblas_thread_controls()]

@@ -5,18 +5,17 @@ from clockspin.bath import BathRealization, BathSpec, sample_bath
 from clockspin.hamiltonian import (
     ModelParams,
     _bath_operators,
-    analytic_doublet_gap,
     bath_hamiltonian_matrix,
     block_hamiltonians,
     build_electronic,
     canonical_phases,
     clock_frequency_curve,
-    ct_curvature,
     eigensolve,
     project_fictitious,
 )
 from clockspin.spinops import is_hermitian, spin_half_generators
 from clockspin.validate import reference_hamiltonian
+from support import analytic_doublet_gap, ct_curvature
 
 GHZ = 1e9
 

@@ -7,6 +7,7 @@ import clockspin as cs
 from clockspin import analysis
 from clockspin.dynamics import SequenceConfig, hahn_echo_trace
 from clockspin.hamiltonian import ModelParams
+from support import modulation_depth
 
 
 def manifold_frequencies(params, a_sc, a_psc):
@@ -73,7 +74,7 @@ class TestSingleProtonSpectra:
                                     SequenceConfig(tau_step=100e-9, tau_max=50e-6))
             fit = analysis.fit_decay(trace)
             residual = analysis.subtract_background(trace, fit)
-            depths.append(analysis.modulation_depth(residual, (2e-6, 40e-6), fit))
+            depths.append(modulation_depth(residual, (2e-6, 40e-6), fit))
         assert depths[0] < depths[1] < depths[2]
 
 
