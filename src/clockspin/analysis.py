@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .echotrace import EchoTrace
+from .echotrace import EchoTrace, write_float_csv
 from .errors import FitError, PeakExtractionError
 
 NO_DECAY_FACTOR = 10.0          # sentinel: T_m >= 10x the observation window
@@ -170,11 +170,7 @@ class Spectrum:
         return float(self.freq[1] - self.freq[0])
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["freq_MHz", "amplitude"])
-            for f, a in zip(self.freq, self.amplitude):
-                w.writerow([f"{f * 1e-6:.17g}", f"{a:.17g}"])
+        write_float_csv(path, "freq_MHz,amplitude", self.freq * 1e-6, self.amplitude)
 
 
 def spectrum(trace: EchoTrace, mode: str = "simulation",

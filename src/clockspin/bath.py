@@ -114,7 +114,8 @@ def dipolar_strength(r: float, mu1: float, mu2: float, geometry: str) -> float:
 
 
 def ensemble_average(traces) -> EchoTrace:
-    """Pointwise mean of echo traces sharing one tau grid."""
+    """Pointwise mean of echo traces sharing one tau grid.  The meta drops the
+    members' ``bath_index`` and ``a_sc_hz``; ``ensemble`` has each seed and index."""
     traces = list(traces)
     if not traces:
         raise ValueError("no traces to average")
@@ -126,7 +127,7 @@ def ensemble_average(traces) -> EchoTrace:
     # permutation-invariant.
     order = sorted(range(len(traces)), key=lambda i: traces[i].intensity.tobytes())
     stack = np.stack([traces[i].intensity for i in order])
-    meta = dict(traces[0].meta)
+    meta = {k: v for k, v in traces[0].meta.items() if k not in ("bath_index", "a_sc_hz")}
     meta["ensemble"] = [
         {"seed": traces[i].meta.get("bath_seed"), "index": traces[i].meta.get("bath_index")}
         for i in order

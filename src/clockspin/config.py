@@ -11,11 +11,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bath import BathSpec
-from .dynamics import SequenceConfig
+from .dynamics import _MAX_GRID_POINTS, SequenceConfig
 from .hamiltonian import ModelParams
-
-
-_MAX_GRID_POINTS = 1_000_000     # largest field grid RunConfig builds
 
 
 @dataclass

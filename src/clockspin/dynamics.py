@@ -30,6 +30,14 @@ points from d = 32 on keeps large baths at the chunk they always had, where
 the GEMMs already run near the BLAS peak and a longer chunk only adds memory.
 On one BLAS thread the echo's bits do not depend on the chunk length (the
 tests check N = 1 to 5).
+
+``field_sweep`` maps its jobs once, in one forked pool on one BLAS thread.  A
+field whose kernel work ``n_realizations * n_tau * d^3`` (complex
+multiply-adds) is at most 2^30 (N <= 4 at 10 x 1000) is one job, which runs
+the traces, their average and ``finish`` and returns what ``finish`` returns.
+A larger field of several realizations is one job per realization; the
+caller averages and finishes each field as soon as its realizations are back,
+while the pool runs on.
 """
 
 import contextlib
@@ -47,6 +55,9 @@ from . import constants, hamiltonian, spinops
 from .echotrace import EchoTrace
 from .errors import CalibrationError
 from .hamiltonian import ModelParams
+
+_MAX_GRID_POINTS = 1_000_000     # largest tau or field grid clockspin builds
+_FIELD_JOB_WORK = 2**30          # kernel work up to which one job runs a whole field
 
 # Thread-count setters an OpenBLAS build may export, by symbol suffix and
 # vendor prefix (numpy and scipy wheels each bundle a prefixed copy).
@@ -77,12 +88,12 @@ class SequenceConfig:
             raise ValueError("tau_max must be finite")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        steps = self.tau_max / self.tau_step
+        if not (np.isfinite(steps) and 1 <= round(steps) <= _MAX_GRID_POINTS):
+            raise ValueError(f"tau_max / tau_step must give 1 to {_MAX_GRID_POINTS} tau points")
 
     def tau_grid(self) -> np.ndarray:
-        n = int(round(self.tau_max / self.tau_step))
-        if n < 1:
-            raise ValueError("tau_max must allow at least one step")
-        return self.tau_step * np.arange(1, n + 1)
+        return self.tau_step * np.arange(1, round(self.tau_max / self.tau_step) + 1)
 
 
 # The pulse generator J = {Sx,Sy} and the projector P onto m_S = +-1.
@@ -246,9 +257,19 @@ def hahn_echo_trace(params: ModelParams, bath, seq: SequenceConfig) -> EchoTrace
 
 def _sweep_job(args):
     params, spec, seq, delta_b, index = args
-    realization = bath_mod.sample_bath(spec, index)
-    trace = hahn_echo_trace(params.at_detuning(delta_b), realization, seq)
-    return trace
+    return hahn_echo_trace(params.at_detuning(delta_b), bath_mod.sample_bath(spec, index), seq)
+
+
+def _field_job(args, members=None):
+    """Field ``i``'s average, or ``finish(i, avg)``; traces the caller already
+    has come as ``members``."""
+    params, spec, seq, delta_b, i, finish = args
+    if members is None:
+        members = [_sweep_job((params, spec, seq, delta_b, k)) for k in range(spec.n_realizations)]
+    avg = bath_mod.ensemble_average(members)
+    avg.meta["detuning_T"] = float(delta_b)
+    avg.meta["B0_T"] = float(params.B_min + delta_b)
+    return avg if finish is None else finish(i, avg)
 
 
 def _openblas_thread_controls():
@@ -303,30 +324,32 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     )
 
 
-def _pinned_map(fn, args, workers: int) -> list:
-    """``[fn(a) for a in args]``, every call on one OpenBLAS thread.
+@contextlib.contextmanager
+def _pinned_map(fn, args, workers: int):
+    """Yield the iterator ``map(fn, args)``, every call on one OpenBLAS thread.
 
     OpenBLAS rounds differently on another thread count (eigh and GEMM at
-    d >= 128 with OpenBLAS 0.3.31), so the map pins the count to one and, for
-    ``workers > 1``, forks its pool inside the pinned block: the workers
-    inherit the count and the results do not depend on ``workers``.  A failed
-    call cancels the calls not yet started (``Executor.map`` does so) and is
-    raised once the running ones have ended, so no call outlives the map.
+    d >= 128 with OpenBLAS 0.3.31), so the block pins the count to one and,
+    for ``workers > 1``, forks its pool inside it: the workers inherit the
+    count and the results do not depend on ``workers``.  If the block raises,
+    the calls not yet started are cancelled and the block ends once the
+    running ones have, so no call outlives it.
     """
     with _single_threaded_blas():
         if workers <= 1:
-            return [fn(a) for a in args]
-        with _worker_pool(workers) as pool:
-            return list(pool.map(fn, args))
+            yield map(fn, args)
+            return
+        with _worker_pool(workers) as pool, contextlib.closing(pool.map(fn, args)) as results:
+            yield results
 
 
-def worker_count(jobs: int | None, n_traces: int) -> int:
-    """Worker processes for a sweep of ``n_traces`` independent traces.
+def worker_count(jobs: int | None, n_jobs: int) -> int:
+    """Worker processes for ``n_jobs`` independent jobs.
 
     ``jobs=None`` asks for the default: one worker per usable CPU, each with a
     single-threaded OpenBLAS.  Where no OpenBLAS thread count can be set, the
     default is 1, one process whose BLAS threads share the cores.  The count
-    never exceeds ``n_traces``; 1 runs the traces in-process, without a pool.
+    never exceeds ``n_jobs``; 1 runs the jobs in-process, without a pool.
     """
     if jobs is None:
         if _openblas_thread_controls():
@@ -338,36 +361,39 @@ def worker_count(jobs: int | None, n_traces: int) -> int:
             jobs = 1
     elif jobs < 1:
         raise ValueError("jobs must be at least 1")
-    return max(1, min(jobs, n_traces))
+    return max(1, min(jobs, n_jobs))
+
+
+def sweep_job_count(spec, seq: SequenceConfig, n_fields: int) -> int:
+    """Jobs in a sweep of ``n_fields`` fields, by the rule in the module docstring."""
+    n_tau = round(seq.tau_max / seq.tau_step)
+    whole = spec.n_realizations * n_tau * (2 * 2**spec.n_nuclei) ** 3 <= _FIELD_JOB_WORK
+    return n_fields if whole else n_fields * spec.n_realizations
 
 
 def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
-                jobs: int | None = None):
-    """Ensemble-averaged echo traces over a detuning grid.
+                jobs: int | None = None, finish=None):
+    """Ensemble-averaged echo traces over a detuning grid, or ``finish(i, avg)`` of each.
 
-    Every (field, realization) pair is an independent job, run on
-    ``worker_count(jobs, ...)`` processes through ``_pinned_map``, so every
-    trace runs on one BLAS thread; results are merged by (field index,
-    realization index), so the output is identical for any worker count.
+    The jobs (module docstring) run on ``worker_count(jobs, ...)`` processes
+    through ``_pinned_map``, so every trace and ``finish`` call runs on one
+    BLAS thread.  ``finish`` runs in the worker of a whole-field job, so it
+    must pickle, and in the calling process otherwise.  Results are merged by
+    index, so the output is identical for any worker count.
     """
     detunings = np.asarray(detunings, dtype=float)
     if detunings.size == 0:
         raise ValueError("detuning grid is empty")
     # The pulse angles depend only on the field: calibrate once per detuning.
-    jobs_args = []
-    for db in detunings:
+    fields = []
+    for i, db in enumerate(detunings):
         phi_half, phi_pi = _resolved_angles(params.at_detuning(db), seq)
         seq_db = replace(seq, phi_half=phi_half, phi_pi=phi_pi)
-        jobs_args += [(params, spec, seq_db, db, idx) for idx in range(spec.n_realizations)]
-    results = _pinned_map(_sweep_job, jobs_args, worker_count(jobs, len(jobs_args)))
-
-    averaged = []
+        fields.append((params, spec, seq_db, db, i, finish))
+    if sweep_job_count(spec, seq, 1) == 1:
+        with _pinned_map(_field_job, fields, worker_count(jobs, len(fields))) as results:
+            return list(results)
     nr = spec.n_realizations
-    for i, db in enumerate(detunings):
-        members = results[i * nr:(i + 1) * nr]
-        avg = bath_mod.ensemble_average(members)
-        avg.meta["detuning_T"] = float(db)
-        avg.meta["B0_T"] = float(params.B_min + db)
-        averaged.append(avg)
-    return averaged
-
+    traces = [(p, sp, sq, db, k) for p, sp, sq, db, *_ in fields for k in range(nr)]
+    with _pinned_map(_sweep_job, traces, worker_count(jobs, len(traces))) as results:
+        return [_field_job(f, [next(results) for _ in range(nr)]) for f in fields]

@@ -1,6 +1,5 @@
 """Echo trace container and serialization."""
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -36,16 +35,20 @@ class EchoTrace:
         return 2.0 * self.tau
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["tau_us", "intensity"])
-            for t, y in zip(self.tau, self.intensity):
-                w.writerow([f"{t * 1e6:.17g}", f"{y:.17g}"])
+        write_float_csv(path, "tau_us,intensity", self.tau * 1e6, self.intensity)
 
     def write_sidecar(self, path):
         with open(path, "w") as fh:
             json.dump(self.meta, fh, indent=2, sort_keys=True, default=_jsonify)
             fh.write("\n")
+
+
+def write_float_csv(path, header, x, y):
+    """Two float columns as ``csv.writer`` writes them (``%.17g``, ``\\r\\n``
+    line ends), built as one string and written in one call."""
+    rows = "".join(f"{a:.17g},{b:.17g}\r\n" for a, b in zip(x.tolist(), y.tolist()))
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{header}\r\n{rows}")
 
 
 def _jsonify(obj):

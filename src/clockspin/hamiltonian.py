@@ -58,11 +58,6 @@ class ModelParams:
         """Copy with the applied field set to ``B_min + delta_b``."""
         return replace(self, B0=self.B_min + delta_b)
 
-    @property
-    def clock_gap(self) -> float:
-        """Clock-transition frequency 2|E| in Hz."""
-        return 2.0 * abs(self.E)
-
     def proton_larmor(self) -> float:
         """Proton precession frequency |gamma_H * B0| in Hz."""
         return abs(self.gamma_H * self.B0)

@@ -49,10 +49,11 @@ def analytic_doublet_gap(p: ModelParams, delta_b=None) -> float:
 def ct_curvature(p: ModelParams) -> float:
     """Curvature d^2 f/dB0^2 at the clock transition.
 
-    Equals ``4 gamma_e^2 / clock_gap`` in terms of the bare model gamma_e,
-    i.e. ``(2 gamma_e)^2 / gap`` in terms of the far-field slope 2*gamma_e.
+    Equals ``4 gamma_e^2 / gap`` with the clock-transition gap ``2|E|`` in
+    terms of the bare model gamma_e, i.e. ``(2 gamma_e)^2 / gap`` in terms of
+    the far-field slope 2*gamma_e.
     """
-    return 4.0 * p.gamma_e**2 / p.clock_gap
+    return 4.0 * p.gamma_e**2 / (2.0 * abs(p.E))
 
 
 def modulation_depth(residual: EchoTrace, window, fit: DecayFit) -> float:

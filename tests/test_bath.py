@@ -158,3 +158,13 @@ class TestEnsembleAverage:
         avg = ensemble_average(traces)
         assert avg.meta["n_realizations"] == 3
         assert [m["index"] for m in avg.meta["ensemble"]] == [0, 1, 2]
+
+    def test_average_keeps_no_member_bath(self):
+        traces = [make_trace([float(i)], seed=5, index=i) for i in range(3)]
+        for t in traces:
+            t.meta["a_sc_hz"] = [7e6 + t.meta["bath_index"]]
+        avg = ensemble_average(traces)
+        assert "bath_index" not in avg.meta and "a_sc_hz" not in avg.meta
+        assert avg.meta["bath_seed"] == 5
+        members = sorted(avg.meta["ensemble"], key=lambda m: m["index"])
+        assert members == [{"seed": 5, "index": i} for i in range(3)]

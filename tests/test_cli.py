@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from clockspin import analysis, config, dynamics
+from clockspin import analysis, bath, config, dynamics
 from clockspin.cli import main
 from clockspin.config import RunConfig, apply_preset, parse_config_text
 from clockspin.errors import ClockspinError, FitError
@@ -114,6 +114,8 @@ class TestInputContract:
         "gamma_e_GHz_per_T = inf",
         "B_min_mT = inf",
         "gamma_H_MHz_per_T = nan",
+        "tau_step_us = 1e-6",       # 1e8 tau points, over the limit of one million
+        "tau_max_us = 0.01",        # no tau point at the n1 step of 0.025 us
     ])
     def test_invalid_value_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -254,10 +256,42 @@ class TestSweepCommand:
         for name in names:
             if name != "manifest.json":
                 assert (default / name).read_bytes() == (serial / name).read_bytes(), name
-        # the manifests record the resolved worker count: 3 fields x 2 realizations
+        # the manifests record the resolved worker count: 3 fields, one job each
         manifest = json.loads((default / "manifest.json").read_text())
-        assert manifest["config"]["jobs"] == dynamics.worker_count(None, 6)
+        assert manifest["config"]["jobs"] == dynamics.worker_count(None, 3)
         assert json.loads((serial / "manifest.json").read_text())["config"]["jobs"] == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_per_realization_jobs_keep_bytes(self, tmp_path, n2_config, monkeypatch, jobs):
+        args = ["sweep", "--config", str(n2_config), "--jobs", jobs,
+                "--start-mT", "-1", "--stop-mT", "1", "--step-mT", "1"]
+        whole, split = tmp_path / "whole", tmp_path / "split"
+        assert main(args + ["--out", str(whole)]) == 0
+        monkeypatch.setattr(dynamics, "_FIELD_JOB_WORK", 0)     # one job per realization
+        assert main(args + ["--out", str(split)]) == 0
+        names = sorted(p.name for p in whole.iterdir())
+        assert names == sorted(p.name for p in split.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (whole / name).read_bytes() == (split / name).read_bytes(), name
+
+    def test_sweep_forks_one_pool(self, tmp_path, n2_config, monkeypatch):
+        pools = []
+        worker_pool = dynamics._worker_pool
+        monkeypatch.setattr(dynamics, "_worker_pool",
+                            lambda workers: pools.append(workers) or worker_pool(workers))
+        assert main(["sweep", "--config", str(n2_config), "--out", str(tmp_path / "p"),
+                     "--jobs", "2", "--start-mT", "-1", "--stop-mT", "1", "--step-mT", "1"]) == 0
+        assert pools == [2]
+
+    def test_sidecar_lists_members_only_in_ensemble(self, tmp_path, n2_config):
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(n2_config), "--out", str(out),
+                     "--start-mT", "2", "--stop-mT", "2", "--step-mT", "1"]) == 0
+        meta = json.loads((out / "trace_+002.000mT.json").read_text())
+        assert "bath_index" not in meta and "a_sc_hz" not in meta
+        assert sorted(m["index"] for m in meta["ensemble"]) == [0, 1]
+        assert all(m["seed"] == 42 for m in meta["ensemble"])
 
     def test_failed_run_leaves_only_manifest(self, tmp_path, n2_config, monkeypatch):
         def fail(*args, **kwargs):
@@ -271,23 +305,13 @@ class TestSweepCommand:
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_failed_field_job_stops_the_pool(self, tmp_path, n2_config, monkeypatch):
-        # The forked workers inherit the patch, and every call leaves a line behind.
-        calls = tmp_path / "fit_calls"
+        _check_failed_fit_stops_the_pool(tmp_path, n2_config, monkeypatch)
 
-        def fail(*args, **kwargs):
-            with open(calls, "a") as fh:
-                fh.write(".\n")
-            time.sleep(0.1)
-            raise FitError("fit failed")
-
-        monkeypatch.setattr(analysis, "fit_decay", fail)
-        out = tmp_path / "f"
-        rc = main(["sweep", "--config", str(n2_config), "--out", str(out),
-                   "--start-mT", "-10", "--stop-mT", "10", "--step-mT", "1"])
-        assert rc == 2
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
-        # the jobs not yet started when the first failure came back never ran
-        assert len(calls.read_text().splitlines()) <= 10   # of 21 fields
+    def test_failed_finish_stops_the_per_realization_pool(self, tmp_path, n2_config,
+                                                          monkeypatch):
+        # the fit fails in the parent, which reads the pool's results lazily
+        monkeypatch.setattr(dynamics, "_FIELD_JOB_WORK", 0)     # one job per realization
+        _check_failed_fit_stops_the_pool(tmp_path, n2_config, monkeypatch)
 
     def test_seed_changes_output(self, tmp_path, n2_config):
         base = ["sweep", "--config", str(n2_config),
@@ -298,6 +322,35 @@ class TestSweepCommand:
         a = (out1 / "trace_+000.000mT.csv").read_bytes()
         b = (out2 / "trace_+000.000mT.csv").read_bytes()
         assert a != b
+
+
+def _check_failed_fit_stops_the_pool(tmp_path, n2_config, monkeypatch):
+    # The forked workers inherit the patches, and every call leaves a line behind.
+    calls, traces = tmp_path / "fit_calls", tmp_path / "traces"
+    sample_bath = bath.sample_bath
+
+    def counted(*args):
+        with open(traces, "a") as fh:
+            fh.write(".\n")
+        time.sleep(0.05)
+        return sample_bath(*args)
+
+    def fail(*args, **kwargs):
+        with open(calls, "a") as fh:
+            fh.write(".\n")
+        time.sleep(0.1)
+        raise FitError("fit failed")
+
+    monkeypatch.setattr(bath, "sample_bath", counted)
+    monkeypatch.setattr(analysis, "fit_decay", fail)
+    out = tmp_path / "f"
+    rc = main(["sweep", "--config", str(n2_config), "--out", str(out), "--jobs", "2",
+               "--start-mT", "-10", "--stop-mT", "10", "--step-mT", "1"])
+    assert rc == 2
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    # the jobs not yet started when the first failure came back never ran
+    assert len(calls.read_text().splitlines()) <= 10        # of 21 fields
+    assert len(traces.read_text().splitlines()) <= 20       # of 42 traces
 
 
 class TestValidateCommand:

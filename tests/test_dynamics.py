@@ -147,6 +147,15 @@ class TestPropagate:
         with pytest.raises(ValueError):
             SequenceConfig(tau_step=-100e-9).tau_grid()
 
+    @pytest.mark.parametrize("tau_step, tau_max", [(1e-12, 100e-6), (1e-300, 1e300)])
+    def test_tau_grid_above_point_limit_rejected(self, tau_step, tau_max):
+        # refused when the config is built, so the grid itself never exists
+        with pytest.raises(ValueError, match="1 to 1000000 tau points"):
+            SequenceConfig(tau_step=tau_step, tau_max=tau_max)
+
+    def test_tau_grid_at_point_limit_accepted(self):
+        SequenceConfig(tau_step=100e-12, tau_max=100e-6)    # 1e6 points, not built
+
 
 class TestPulseOperator:
     def test_zero_angle_is_identity(self):
@@ -328,6 +337,35 @@ class TestFieldSweep:
             worker = pool.submit(_blas_thread_counts).result(timeout=60)
         assert worker and all(n == 1 for n in worker)
         assert _blas_thread_counts() == parent
+
+    def test_job_size_rule(self):
+        # kernel work n_realizations * n_tau * d^3 against 2^30, d = 2^(N+1)
+        seq = SequenceConfig()                                  # 1000 tau points
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=3), seq, 41) == 41
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=4), seq, 41) == 41
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=5), seq, 41) == 410
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=7), seq, 11) == 110
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=7, n_realizations=2), seq, 2) == 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_per_realization_finish_runs_pinned_in_order(self, monkeypatch, jobs):
+        monkeypatch.setattr(dynamics, "_FIELD_JOB_WORK", 0)     # one job per realization
+        seen = []
+
+        def finish(i, avg):
+            seen.append((i, _blas_thread_counts()))
+            return avg
+
+        parent = _blas_thread_counts()
+        spec = BathSpec(n_nuclei=1, n_realizations=2, seed=5)
+        seq = SequenceConfig(tau_step=200e-9, tau_max=2e-6)
+        grid = [-1e-3, 0.0, 1e-3]
+        finished = field_sweep(ModelParams(), spec, seq, grid, jobs=jobs, finish=finish)
+        assert [i for i, _ in seen] == [0, 1, 2]
+        assert all(n == 1 for _, counts in seen for n in counts)
+        assert _blas_thread_counts() == parent
+        for a, b in zip(finished, field_sweep(ModelParams(), spec, seq, grid, jobs=1)):
+            assert np.array_equal(a.intensity, b.intensity) and a.meta == b.meta
 
     def test_in_process_sweep_restores_blas_threads(self, monkeypatch):
         seen = []
