@@ -148,7 +148,7 @@ def cmd_zeeman(args) -> int:
 def cmd_echo(args) -> int:
     cfg = _load_run_config(args)
     params = cfg.model.at_detuning(cfg.detuning_mt * 1e-3)
-    cfg.jobs = dynamics.worker_count(cfg.jobs, dynamics.sweep_job_count(cfg.bath, cfg.sequence, 1))
+    cfg.jobs = dynamics.worker_count(cfg.jobs, cfg.bath.n_realizations)
     with _run_directory(cfg, "echo", detuning_mT=cfg.detuning_mt) as result:
         (avg,) = dynamics.field_sweep(cfg.model, cfg.bath, cfg.sequence,
                                       [cfg.detuning_mt * 1e-3], jobs=cfg.jobs)
@@ -169,10 +169,9 @@ def cmd_echo(args) -> int:
     return 0
 
 
-def _sweep_field_job(cfg, files, i, trace):
-    """Write sweep field ``i``'s trace and spectrum files; return
+def _sweep_field_job(cfg, db_mt, trace_csv, trace_json, spectrum_csv, trace):
+    """Write one sweep field's trace and spectrum files; return
     ``(B0, fit, peaks, bin_width)`` for the sweep's summary files."""
-    db_mt, trace_csv, trace_json, spectrum_csv = files[i]
     trace.write_csv(trace_csv)
     trace.write_sidecar(trace_json)
     params = cfg.model.at_detuning(db_mt * 1e-3)
@@ -184,19 +183,18 @@ def _sweep_field_job(cfg, files, i, trace):
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
     grid_mt = cfg.detuning_grid_mt()
-    cfg.jobs = dynamics.worker_count(
-        cfg.jobs, dynamics.sweep_job_count(cfg.bath, cfg.sequence, grid_mt.size))
+    cfg.jobs = dynamics.worker_count(cfg.jobs, grid_mt.size * cfg.bath.n_realizations)
     with _run_directory(cfg, "sweep", detuning_grid_mT=[float(x) for x in grid_mt]) as result:
         # field_sweep writes and analyses each field as soon as its average
         # exists.  Every file is named here first, so a failed run removes them all.
-        files = []
+        finish = []
         for db_mt in grid_mt:
             tag = f"{db_mt:+08.3f}mT"
-            files.append((db_mt, result(f"trace_{tag}.csv"), result(f"trace_{tag}.json"),
-                          result(f"spectrum_{tag}.csv")))
+            finish.append(functools.partial(
+                _sweep_field_job, cfg, db_mt, result(f"trace_{tag}.csv"),
+                result(f"trace_{tag}.json"), result(f"spectrum_{tag}.csv")))
         fields = dynamics.field_sweep(cfg.model, cfg.bath, cfg.sequence, grid_mt * 1e-3,
-                                      jobs=cfg.jobs,
-                                      finish=functools.partial(_sweep_field_job, cfg, files))
+                                      jobs=cfg.jobs, finish=finish)
         b0s, fits, peaks_per_field, bin_widths = zip(*fields)
         rows = analysis.peak_map(b0s, peaks_per_field, cfg.model.gamma_H, bin_widths[-1])
         analysis.write_peak_map_csv(rows, result("peak_map.csv"))

@@ -32,10 +32,11 @@ On one BLAS thread the echo's bits do not depend on the chunk length (the
 tests check N = 1 to 5).
 
 ``field_sweep`` maps its jobs once, in one forked pool on one BLAS thread.  A
-field whose kernel work ``n_realizations * n_tau * d^3`` (complex
-multiply-adds) is at most 2^30 (N <= 4 at 10 x 1000) is one job, which runs
-the traces, their average and ``finish`` and returns what ``finish`` returns.
-A larger field of several realizations is one job per realization; the
+field is one job if its kernel work ``n_realizations * n_tau * d^3`` (complex
+multiply-adds) is at most 2^30 (N <= 4 at 10 x 1000) and the sweep has at
+least as many fields as workers; that job runs the traces, their average and
+the field's ``finish`` and returns what ``finish`` returns.  Otherwise (a
+costly field, or an echo on two workers) each realization is one job; the
 caller averages and finishes each field as soon as its realizations are back,
 while the pool runs on.
 """
@@ -261,15 +262,15 @@ def _sweep_job(args):
 
 
 def _field_job(args, members=None):
-    """Field ``i``'s average, or ``finish(i, avg)``; traces the caller already
-    has come as ``members``."""
-    params, spec, seq, delta_b, i, finish = args
+    """The field's average, or ``finish(avg)``; traces the caller already has
+    come as ``members``."""
+    params, spec, seq, delta_b, finish = args
     if members is None:
         members = [_sweep_job((params, spec, seq, delta_b, k)) for k in range(spec.n_realizations)]
     avg = bath_mod.ensemble_average(members)
     avg.meta["detuning_T"] = float(delta_b)
     avg.meta["B0_T"] = float(params.B_min + delta_b)
-    return avg if finish is None else finish(i, avg)
+    return avg if finish is None else finish(avg)
 
 
 def _openblas_thread_controls():
@@ -364,36 +365,41 @@ def worker_count(jobs: int | None, n_jobs: int) -> int:
     return max(1, min(jobs, n_jobs))
 
 
-def sweep_job_count(spec, seq: SequenceConfig, n_fields: int) -> int:
-    """Jobs in a sweep of ``n_fields`` fields, by the rule in the module docstring."""
+def sweep_job_count(spec, seq: SequenceConfig, n_fields: int, workers: int) -> int:
+    """Jobs in a sweep of ``n_fields`` fields on ``workers`` processes, by the
+    rule in the module docstring."""
     n_tau = round(seq.tau_max / seq.tau_step)
-    whole = spec.n_realizations * n_tau * (2 * 2**spec.n_nuclei) ** 3 <= _FIELD_JOB_WORK
-    return n_fields if whole else n_fields * spec.n_realizations
+    cheap = spec.n_realizations * n_tau * (2 * 2**spec.n_nuclei) ** 3 <= _FIELD_JOB_WORK
+    return n_fields if cheap and n_fields >= workers else n_fields * spec.n_realizations
 
 
 def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
                 jobs: int | None = None, finish=None):
-    """Ensemble-averaged echo traces over a detuning grid, or ``finish(i, avg)`` of each.
+    """Ensemble-averaged echo traces over a detuning grid, or ``finish[i](avg)`` of each.
 
-    The jobs (module docstring) run on ``worker_count(jobs, ...)`` processes
-    through ``_pinned_map``, so every trace and ``finish`` call runs on one
-    BLAS thread.  ``finish`` runs in the worker of a whole-field job, so it
-    must pickle, and in the calling process otherwise.  Results are merged by
-    index, so the output is identical for any worker count.
+    ``finish`` is ``None`` or one callable per field.  The jobs (module
+    docstring) run on ``worker_count(jobs, n_fields * n_realizations)``
+    processes through ``_pinned_map``, so every trace and ``finish`` call
+    runs on one BLAS thread.  A whole-field job carries and runs its field's
+    ``finish``, which must pickle; otherwise ``finish`` runs in the calling
+    process.  Results are merged by index, so the output is identical for any
+    worker count.
     """
     detunings = np.asarray(detunings, dtype=float)
     if detunings.size == 0:
         raise ValueError("detuning grid is empty")
+    finish = [None] * detunings.size if finish is None else finish
     # The pulse angles depend only on the field: calibrate once per detuning.
     fields = []
-    for i, db in enumerate(detunings):
+    for db, finish_db in zip(detunings, finish, strict=True):
         phi_half, phi_pi = _resolved_angles(params.at_detuning(db), seq)
         seq_db = replace(seq, phi_half=phi_half, phi_pi=phi_pi)
-        fields.append((params, spec, seq_db, db, i, finish))
-    if sweep_job_count(spec, seq, 1) == 1:
-        with _pinned_map(_field_job, fields, worker_count(jobs, len(fields))) as results:
-            return list(results)
+        fields.append((params, spec, seq_db, db, finish_db))
     nr = spec.n_realizations
-    traces = [(p, sp, sq, db, k) for p, sp, sq, db, *_ in fields for k in range(nr)]
-    with _pinned_map(_sweep_job, traces, worker_count(jobs, len(traces))) as results:
+    workers = worker_count(jobs, len(fields) * nr)
+    if sweep_job_count(spec, seq, len(fields), workers) == len(fields):
+        with _pinned_map(_field_job, fields, workers) as results:
+            return list(results)
+    traces = [(p, sp, sq, db, k) for p, sp, sq, db, _ in fields for k in range(nr)]
+    with _pinned_map(_sweep_job, traces, workers) as results:
         return [_field_job(f, [next(results) for _ in range(nr)]) for f in fields]

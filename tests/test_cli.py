@@ -1,4 +1,6 @@
+import contextlib
 import json
+import pickle
 import time
 
 import numpy as np
@@ -211,6 +213,18 @@ class TestEchoCommand:
         assert (echo_out / "trace.csv").read_bytes() == \
             (sweep_out / "trace_+001.000mT.csv").read_bytes()
 
+    def test_echo_forks_one_pool_of_two(self, tmp_path, n2_config, monkeypatch):
+        # one field on two workers: one job per realization
+        pools = []
+        worker_pool = dynamics._worker_pool
+        monkeypatch.setattr(dynamics, "_worker_pool",
+                            lambda workers: pools.append(workers) or worker_pool(workers))
+        out = tmp_path / "e"
+        assert main(["echo", "--config", str(n2_config), "--out", str(out),
+                     "--detuning-mT", "1", "--jobs", "2"]) == 0
+        assert pools == [2]
+        assert json.loads((out / "manifest.json").read_text())["config"]["jobs"] == 2
+
     def test_manifest_written_before_results(self, tmp_path, n2_config):
         out = tmp_path / "m"
         rc = main(["echo", "--config", str(n2_config), "--out", str(out),
@@ -256,9 +270,9 @@ class TestSweepCommand:
         for name in names:
             if name != "manifest.json":
                 assert (default / name).read_bytes() == (serial / name).read_bytes(), name
-        # the manifests record the resolved worker count: 3 fields, one job each
+        # the manifests record the resolved worker count: 3 fields x 2 realizations
         manifest = json.loads((default / "manifest.json").read_text())
-        assert manifest["config"]["jobs"] == dynamics.worker_count(None, 3)
+        assert manifest["config"]["jobs"] == dynamics.worker_count(None, 6)
         assert json.loads((serial / "manifest.json").read_text())["config"]["jobs"] == 1
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -283,6 +297,23 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(n2_config), "--out", str(tmp_path / "p"),
                      "--jobs", "2", "--start-mT", "-1", "--stop-mT", "1", "--step-mT", "1"]) == 0
         assert pools == [2]
+
+    def test_field_job_carries_only_its_own_field(self, tmp_path, n2_config, monkeypatch):
+        # a whole-field job pickles its own finish, not every field's file names
+        sizes = []
+
+        @contextlib.contextmanager
+        def measure(fn, args, workers):
+            sizes.append(len(pickle.dumps(args[0])))
+            raise ClockspinError("measured")
+            yield
+
+        monkeypatch.setattr(dynamics, "_pinned_map", measure)
+        for name, n in (("a", 2), ("b", 50)):
+            main(["sweep", "--config", str(n2_config), "--out", str(tmp_path / name),
+                  "--jobs", "1", "--start-mT", "0", "--stop-mT", f"{(n - 1) * 0.01:.2f}",
+                  "--step-mT", "0.01"])
+        assert len(sizes) == 2 and sizes[1] < sizes[0] + 64
 
     def test_sidecar_lists_members_only_in_ensemble(self, tmp_path, n2_config):
         out = tmp_path / "s"

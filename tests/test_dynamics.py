@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -341,11 +342,16 @@ class TestFieldSweep:
     def test_job_size_rule(self):
         # kernel work n_realizations * n_tau * d^3 against 2^30, d = 2^(N+1)
         seq = SequenceConfig()                                  # 1000 tau points
-        assert dynamics.sweep_job_count(BathSpec(n_nuclei=3), seq, 41) == 41
-        assert dynamics.sweep_job_count(BathSpec(n_nuclei=4), seq, 41) == 41
-        assert dynamics.sweep_job_count(BathSpec(n_nuclei=5), seq, 41) == 410
-        assert dynamics.sweep_job_count(BathSpec(n_nuclei=7), seq, 11) == 110
-        assert dynamics.sweep_job_count(BathSpec(n_nuclei=7, n_realizations=2), seq, 2) == 4
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=3), seq, 41, 2) == 41
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=4), seq, 41, 2) == 41
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=5), seq, 41, 2) == 410
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=7), seq, 11, 2) == 110
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=7, n_realizations=2), seq, 2, 1) == 4
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=3), seq, 1, 1) == 1
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=3), seq, 4, 4) == 4
+        # fewer fields than workers: one job per realization, however cheap
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=3), seq, 1, 2) == 10   # an echo
+        assert dynamics.sweep_job_count(BathSpec(n_nuclei=3), seq, 3, 4) == 30
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_per_realization_finish_runs_pinned_in_order(self, monkeypatch, jobs):
@@ -360,12 +366,18 @@ class TestFieldSweep:
         spec = BathSpec(n_nuclei=1, n_realizations=2, seed=5)
         seq = SequenceConfig(tau_step=200e-9, tau_max=2e-6)
         grid = [-1e-3, 0.0, 1e-3]
-        finished = field_sweep(ModelParams(), spec, seq, grid, jobs=jobs, finish=finish)
+        finished = field_sweep(ModelParams(), spec, seq, grid, jobs=jobs,
+                               finish=[functools.partial(finish, i) for i in range(3)])
         assert [i for i, _ in seen] == [0, 1, 2]
         assert all(n == 1 for _, counts in seen for n in counts)
         assert _blas_thread_counts() == parent
         for a, b in zip(finished, field_sweep(ModelParams(), spec, seq, grid, jobs=1)):
             assert np.array_equal(a.intensity, b.intensity) and a.meta == b.meta
+
+    def test_finish_needs_one_callable_per_field(self):
+        spec = BathSpec(n_nuclei=1, n_realizations=1, seed=5)
+        with pytest.raises(ValueError):
+            field_sweep(ModelParams(), spec, SequenceConfig(), [0.0, 1e-3], finish=[print])
 
     def test_in_process_sweep_restores_blas_threads(self, monkeypatch):
         seen = []
