@@ -7,8 +7,7 @@ periodic in tau, so this abscissa puts the ESEEM peaks at the bare nuclear
 frequencies nu_H and 2 nu_H, as observed.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -163,7 +162,6 @@ class Spectrum:
     amplitude: np.ndarray
     complex_amplitude: np.ndarray
     processing: dict
-    peaks: list = field(default_factory=list)
 
     @property
     def bin_width(self) -> float:
@@ -354,8 +352,5 @@ def peak_map(b0_values, peaks_per_field, gamma_h: float, bin_hz: float) -> list:
 
 
 def write_peak_map_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["B0_mT", "f_MHz", "label"])
-        for r in rows:
-            w.writerow([f"{r.b0 * 1e3:.17g}", f"{r.freq * 1e-6:.17g}", r.label])
+    write_float_csv(path, "B0_mT,f_MHz,label", [r.b0 * 1e3 for r in rows],
+                    [r.freq * 1e-6 for r in rows], [r.label for r in rows])

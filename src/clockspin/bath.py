@@ -34,6 +34,10 @@ class BathSpec:
     def __post_init__(self):
         if self.n_nuclei < 1:
             raise ValueError("n_nuclei must be >= 1")
+        if self.n_realizations < 1:
+            raise ValueError("n_realizations must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
         for name in ("a_mean", "a_halfwidth", "psc_ratio", "d_pair"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -1,8 +1,9 @@
 """Command-line driver: zeeman, echo, sweep and validate subcommands.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure.
-Every run directory receives a ``manifest.json`` (written atomically before
-any result file) that suffices to reproduce the run bit for bit.
+Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure,
+143 terminated by SIGTERM.  Every run directory receives a ``manifest.json``
+(written atomically before any result file) whose ``config`` block, written
+out as ``KEY = VALUE`` lines, reproduces the run bit for bit.
 """
 
 import argparse
@@ -10,12 +11,14 @@ import contextlib
 import functools
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analysis, config, dynamics, validate
+from .echotrace import write_float_csv
 from .errors import ClockspinError
 
 
@@ -65,27 +68,15 @@ def _run_directory(cfg: config.RunConfig, command: str, **extra):
 
 
 def _load_run_config(args) -> config.RunConfig:
-    from dataclasses import replace
-
+    """The defaults, then the preset, the config file and the flags, whose
+    ``dest`` is their config key."""
     cfg = config.RunConfig()
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg = config.apply_preset(cfg, args.preset)
-    if getattr(args, "config", None):
+    if args.config:
         cfg = config.load_config(args.config, base=cfg)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, bath=replace(cfg.bath, seed=args.seed))
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "detuning_mt", None) is not None:
-        cfg.detuning_mt = args.detuning_mt
-    prefix = "zeeman_" if args.subcommand == "zeeman" else "detuning_"
-    for name in ("start_mt", "stop_mt", "step_mt"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, prefix + name, val)
-    return cfg
+    flags = {k: v for k, v in vars(args).items() if k in config._KEYS and v is not None}
+    return config._override(cfg, flags)
 
 
 def _analyze(trace, cfg: config.RunConfig, nu_h: float):
@@ -122,16 +113,6 @@ def _write_fit_json(fit, path):
     )
 
 
-def _write_peaks_csv(peaks, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["f_MHz", "amplitude", "label"])
-        for p in peaks:
-            w.writerow([f"{p.freq * 1e-6:.17g}", f"{p.amplitude:.17g}", p.label])
-
-
 def cmd_zeeman(args) -> int:
     cfg = _load_run_config(args)
     grid_mt = cfg.zeeman_grid_mt()
@@ -162,7 +143,9 @@ def cmd_echo(args) -> int:
         avg.write_sidecar(result("trace.json"))
         residual.write_csv(result("residual.csv"))
         spec.write_csv(result("spectrum.csv"))
-        _write_peaks_csv(peaks, result("peaks.csv"))
+        write_float_csv(result("peaks.csv"), "f_MHz,amplitude,label",
+                        [p.freq * 1e-6 for p in peaks], [p.amplitude for p in peaks],
+                        [p.label for p in peaks])
         _write_fit_json(fit, result("fit.json"))
     print(f"echo: detuning {cfg.detuning_mt:+.3f} mT, {len(peaks)} peaks, "
           f"T_m = {fit.t_m * 1e6:.3f} us -> {Path(cfg.out_dir)}")
@@ -198,21 +181,11 @@ def cmd_sweep(args) -> int:
         b0s, fits, peaks_per_field, bin_widths = zip(*fields)
         rows = analysis.peak_map(b0s, peaks_per_field, cfg.model.gamma_H, bin_widths[-1])
         analysis.write_peak_map_csv(rows, result("peak_map.csv"))
-        import csv
-
-        with open(result("tm_vs_detuning.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["detuning_mT", "B0_mT", "T_m_us", "x", "I0", "residual", "no_decay"])
-            for db_mt, fit in zip(grid_mt, fits):
-                w.writerow([
-                    f"{db_mt:.17g}",
-                    f"{(cfg.model.B_min * 1e3 + db_mt):.17g}",
-                    f"{fit.t_m * 1e6:.17g}",
-                    f"{fit.exponent:.17g}",
-                    f"{fit.i0:.17g}",
-                    f"{fit.residual_norm:.17g}",
-                    str(fit.no_decay),
-                ])
+        write_float_csv(result("tm_vs_detuning.csv"),
+                        "detuning_mT,B0_mT,T_m_us,x,I0,residual,no_decay",
+                        grid_mt, cfg.model.B_min * 1e3 + grid_mt, [f.t_m * 1e6 for f in fits],
+                        [f.exponent for f in fits], [f.i0 for f in fits],
+                        [f.residual_norm for f in fits], [str(f.no_decay) for f in fits])
     print(f"sweep: {grid_mt.size} fields x {cfg.bath.n_realizations} realizations "
           f"-> {Path(cfg.out_dir)}")
     return 0
@@ -237,29 +210,29 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"clockspin {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, sweep_range=False):
+    def common(p, range_prefix=None):
+        # Each flag's dest is the config key it sets; config parses its value.
         p.add_argument("--config", help="flat KEY = VALUE config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="bath RNG seed (unsigned 64-bit)")
-        p.add_argument("--jobs", type=int, help="worker processes")
+        p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+        p.add_argument("--seed", metavar="U64", help="bath RNG seed (unsigned 64-bit)")
+        p.add_argument("--jobs", metavar="N", help="worker processes")
         p.add_argument("--preset", choices=["n1", "n7"], help="named parameter set")
-        if sweep_range:
-            p.add_argument("--start-mT", dest="start_mt", type=float)
-            p.add_argument("--stop-mT", dest="stop_mt", type=float)
-            p.add_argument("--step-mT", dest="step_mt", type=float)
+        if range_prefix:
+            for end in ("start", "stop", "step"):
+                p.add_argument(f"--{end}-mT", dest=f"{range_prefix}_{end}_mT", metavar="MT")
 
     p_zeeman = sub.add_parser("zeeman", help="electronic spectrum vs field")
-    common(p_zeeman, sweep_range=True)
+    common(p_zeeman, range_prefix="zeeman")
     p_zeeman.set_defaults(func=cmd_zeeman)
 
     p_echo = sub.add_parser("echo", help="ensemble echo trace at one detuning")
     common(p_echo)
-    p_echo.add_argument("--detuning-mT", dest="detuning_mt", type=float,
+    p_echo.add_argument("--detuning-mT", dest="detuning_mT", metavar="MT",
                         help="field detuning from the clock transition")
     p_echo.set_defaults(func=cmd_echo)
 
     p_sweep = sub.add_parser("sweep", help="detuning sweep with analysis products")
-    common(p_sweep, sweep_range=True)
+    common(p_sweep, range_prefix="detuning")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the built-in invariant suite")
@@ -269,9 +242,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM unwinds the command like an exception: the pool cancels the jobs
+    # not yet started and shuts down, and the result files are removed.
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -283,6 +263,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"clockspin: I/O failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,13 @@
 Config files are plain text, one ``KEY = VALUE`` pair per line, ``#`` starts
 a comment.  All keys are optional; the defaults reproduce the headline N=7
 ensemble parameter-for-parameter.  Values at this boundary use human-scale
-units (mT, MHz, kHz, us, K); they are converted to SI internally.
+units (mT, MHz, kHz, us, K); ``_KEYS`` gives each key's power of ten to SI, and
+a value is shifted by it exactly in decimal, so the text of ``describe()``
+parses back to the same doubles.
 """
 
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -22,8 +25,57 @@ class AnalysisOptions:
     peak_threshold: float = 0.1
 
     def __post_init__(self):
+        if self.fit_model not in ("mono", "stretched"):
+            raise ValueError(f"unknown fit_model {self.fit_model!r}")
+        if self.spectrum_mode not in ("experimental", "simulation"):
+            raise ValueError(f"unknown spectrum_mode {self.spectrum_mode!r}")
         if not 0 < self.peak_threshold < 1:
             raise ValueError("peak_threshold must lie in (0, 1)")
+
+
+# key -> (RunConfig section or None for RunConfig itself, attribute, type,
+#         power of ten from the key's unit to the attribute's SI unit)
+_KEYS = {
+    "D_GHz": ("model", "D", float, 9),
+    "E_GHz": ("model", "E", float, 9),
+    "gamma_e_GHz_per_T": ("model", "gamma_e", float, 9),
+    "B_min_mT": ("model", "B_min", float, -3),
+    "gamma_H_MHz_per_T": ("model", "gamma_H", float, 6),
+    "bath_N": ("bath", "n_nuclei", int, 0),
+    "A_mean_MHz": ("bath", "a_mean", float, 6),
+    "A_halfwidth_MHz": ("bath", "a_halfwidth", float, 6),
+    "psc_ratio": ("bath", "psc_ratio", float, 0),
+    "D_pair_kHz": ("bath", "d_pair", float, 3),
+    "n_realizations": ("bath", "n_realizations", int, 0),
+    "seed": ("bath", "seed", int, 0),
+    "angle_mode": ("bath", "angle_mode", str, 0),
+    "tau_step_us": ("sequence", "tau_step", float, -6),
+    "tau_max_us": ("sequence", "tau_max", float, -6),
+    "temperature_K": ("sequence", "temperature", float, 0),
+    "phi_half_rad": ("sequence", "phi_half", float, 0),
+    "phi_pi_rad": ("sequence", "phi_pi", float, 0),
+    "fit_model": ("analysis", "fit_model", str, 0),
+    "spectrum_mode": ("analysis", "spectrum_mode", str, 0),
+    "peak_threshold": ("analysis", "peak_threshold", float, 0),
+    "detuning_start_mT": (None, "detuning_start_mt", float, 0),
+    "detuning_stop_mT": (None, "detuning_stop_mt", float, 0),
+    "detuning_step_mT": (None, "detuning_step_mt", float, 0),
+    "detuning_mT": (None, "detuning_mt", float, 0),
+    "zeeman_start_mT": (None, "zeeman_start_mt", float, 0),
+    "zeeman_stop_mT": (None, "zeeman_stop_mt", float, 0),
+    "zeeman_step_mT": (None, "zeeman_step_mt", float, 0),
+    "out_dir": (None, "out_dir", str, 0),
+    "jobs": (None, "jobs", int, 0),
+}
+
+# Named parameter sets, as config text.  n1 is a single proton with A_sc = 1 MHz
+# (A_psc = 0.5 MHz), one realization and a 25 ns delay step, so that modulation
+# out to the sum line at large detuning stays below Nyquist.
+_PRESETS = {
+    "n7": {},
+    "n1": {"bath_N": "1", "A_mean_MHz": "1", "A_halfwidth_MHz": "0", "psc_ratio": "0.5",
+           "n_realizations": "1", "tau_step_us": "0.025"},
+}
 
 
 @dataclass
@@ -70,83 +122,42 @@ class RunConfig:
         return self._grid_mt("zeeman")
 
     def describe(self) -> dict:
-        """Full parameter set for manifests (human-scale units)."""
-        m, b, s = self.model, self.bath, self.sequence
-        return {
-            "model": {
-                "D_GHz": m.D / 1e9, "E_GHz": m.E / 1e9,
-                "gamma_e_GHz_per_T": m.gamma_e / 1e9,
-                "B_min_mT": m.B_min * 1e3,
-                "gamma_H_MHz_per_T": m.gamma_H / 1e6,
-            },
-            "bath": {
-                "N": b.n_nuclei, "A_mean_MHz": b.a_mean / 1e6,
-                "A_halfwidth_MHz": b.a_halfwidth / 1e6,
-                "psc_ratio": b.psc_ratio, "D_pair_kHz": b.d_pair / 1e3,
-                "n_realizations": b.n_realizations, "seed": b.seed,
-                "angle_mode": b.angle_mode,
-            },
-            "sequence": {
-                "tau_step_us": s.tau_step * 1e6, "tau_max_us": s.tau_max * 1e6,
-                "temperature_K": s.temperature,
-                "phi_half_rad": s.phi_half, "phi_pi_rad": s.phi_pi,
-            },
-            "analysis": {
-                "fit_model": self.analysis.fit_model,
-                "spectrum_mode": self.analysis.spectrum_mode,
-                "peak_threshold": self.analysis.peak_threshold,
-            },
-            "detuning_start_mT": self.detuning_start_mt,
-            "detuning_stop_mT": self.detuning_stop_mt,
-            "detuning_step_mT": self.detuning_step_mt,
-            "detuning_mT": self.detuning_mt,
-            "jobs": self.jobs,
-        }
+        """``{key: config-file text}`` of every key whose value is not None.
+
+        Written out as ``KEY = VALUE`` lines, it parses back to this
+        configuration bit for bit: a float is its shortest round-trip repr,
+        shifted to the key's unit in decimal.
+        """
+        text = {}
+        for key, (section, attr, kind, power) in _KEYS.items():
+            value = getattr(self if section is None else getattr(self, section), attr)
+            if value is not None:
+                text[key] = (format(Decimal(repr(float(value))).scaleb(-power).normalize(), "f")
+                             if kind is float else str(value))
+        return text
 
 
-# key -> (section, attribute, scale to SI, value parser)
-_FLOAT_KEYS = {
-    "D_GHz": ("model", "D", 1e9),
-    "E_GHz": ("model", "E", 1e9),
-    "gamma_e_GHz_per_T": ("model", "gamma_e", 1e9),
-    "B_min_mT": ("model", "B_min", 1e-3),
-    "gamma_H_MHz_per_T": ("model", "gamma_H", 1e6),
-    "A_mean_MHz": ("bath", "a_mean", 1e6),
-    "A_halfwidth_MHz": ("bath", "a_halfwidth", 1e6),
-    "psc_ratio": ("bath", "psc_ratio", 1.0),
-    "D_pair_kHz": ("bath", "d_pair", 1e3),
-    "tau_step_us": ("sequence", "tau_step", 1e-6),
-    "tau_max_us": ("sequence", "tau_max", 1e-6),
-    "temperature_K": ("sequence", "temperature", 1.0),
-    "phi_half_rad": ("sequence", "phi_half", 1.0),
-    "phi_pi_rad": ("sequence", "phi_pi", 1.0),
-    "detuning_start_mT": (None, "detuning_start_mt", 1.0),
-    "detuning_stop_mT": (None, "detuning_stop_mt", 1.0),
-    "detuning_step_mT": (None, "detuning_step_mt", 1.0),
-    "detuning_mT": (None, "detuning_mt", 1.0),
-    "zeeman_start_mT": (None, "zeeman_start_mt", 1.0),
-    "zeeman_stop_mT": (None, "zeeman_stop_mt", 1.0),
-    "zeeman_step_mT": (None, "zeeman_step_mt", 1.0),
-    "peak_threshold": ("analysis", "peak_threshold", 1.0),
-}
-_INT_KEYS = {
-    "bath_N": ("bath", "n_nuclei"),
-    "n_realizations": ("bath", "n_realizations"),
-    "seed": ("bath", "seed"),
-    "jobs": (None, "jobs"),
-}
-_STR_KEYS = {
-    "angle_mode": ("bath", "angle_mode"),
-    "fit_model": ("analysis", "fit_model"),
-    "spectrum_mode": ("analysis", "spectrum_mode"),
-    "out_dir": (None, "out_dir"),
-}
+def _override(cfg: RunConfig, values: dict) -> RunConfig:
+    """``cfg`` with the ``{key: text}`` of ``values`` parsed and set, each
+    section rebuilt (and so validated) once."""
+    updates = {}
+    for key, text in values.items():
+        if key not in _KEYS:
+            raise ValueError(f"unknown key {key!r}")
+        section, attr, kind, power = _KEYS[key]
+        try:
+            value = float(Decimal(text).scaleb(power)) if kind is float else kind(text)
+        except (ValueError, ArithmeticError):
+            raise ValueError(f"{key}: invalid {kind.__name__} value {text!r}") from None
+        updates.setdefault(section, {})[attr] = value
+    top = updates.pop(None, {})
+    sections = {s: replace(getattr(cfg, s), **attrs) for s, attrs in updates.items()}
+    return replace(cfg, **sections, **top)
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse ``KEY = VALUE`` lines on top of ``base`` (or the defaults)."""
-    cfg = base if base is not None else RunConfig()
-    updates = {"model": {}, "bath": {}, "sequence": {}, "analysis": {}, None: {}}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -154,28 +165,10 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected KEY = VALUE, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key in _FLOAT_KEYS:
-            section, attr, scale = _FLOAT_KEYS[key]
-            updates[section][attr] = float(value) * scale
-        elif key in _INT_KEYS:
-            section, attr = _INT_KEYS[key]
-            updates[section][attr] = int(value)
-        elif key in _STR_KEYS:
-            section, attr = _STR_KEYS[key]
-            updates[section][attr] = value
-        else:
+        if key not in _KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    if updates["model"]:
-        cfg = replace(cfg, model=replace(cfg.model, **updates["model"]))
-    if updates["bath"]:
-        cfg = replace(cfg, bath=replace(cfg.bath, **updates["bath"]))
-    if updates["sequence"]:
-        cfg = replace(cfg, sequence=replace(cfg.sequence, **updates["sequence"]))
-    if updates["analysis"]:
-        cfg = replace(cfg, analysis=replace(cfg.analysis, **updates["analysis"]))
-    if updates[None]:
-        cfg = replace(cfg, **updates[None])
-    return cfg
+        values[key] = value
+    return _override(base if base is not None else RunConfig(), values)
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
@@ -184,17 +177,7 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
 
 
 def apply_preset(cfg: RunConfig, preset: str) -> RunConfig:
-    """Named parameter sets: ``n7`` (headline ensemble) and ``n1`` (single proton).
-
-    The n1 preset uses A_sc = 1 MHz (A_psc = 0.5 MHz), one realization and a
-    25 ns delay step so that modulation out to the sum line at large detuning
-    stays below Nyquist.
-    """
-    if preset == "n7":
-        return cfg
-    if preset == "n1":
-        bath = replace(cfg.bath, n_nuclei=1, a_mean=1e6, a_halfwidth=0.0,
-                       psc_ratio=0.5, n_realizations=1)
-        seq = replace(cfg.sequence, tau_step=25e-9)
-        return replace(cfg, bath=bath, sequence=seq)
-    raise ValueError(f"unknown preset {preset!r}")
+    """Named parameter sets: ``n7`` (headline ensemble) and ``n1`` (single proton)."""
+    if preset not in _PRESETS:
+        raise ValueError(f"unknown preset {preset!r}")
+    return _override(cfg, _PRESETS[preset])

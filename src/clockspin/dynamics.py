@@ -44,6 +44,7 @@ while the pool runs on.
 import contextlib
 import multiprocessing
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -319,9 +320,11 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     # Linux): forked workers inherit the parent's OpenBLAS thread count, skip
     # the package import and inherit any instrumentation of the parent.  A
     # platform without fork has no /proc/self/maps, so no count to inherit.
+    # A worker takes SIGTERM's default action, not a handler of the parent's.
     fork = "fork" in multiprocessing.get_all_start_methods()
     return ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork") if fork else None,
+        initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL),
     )
 
 

@@ -43,10 +43,12 @@ class EchoTrace:
             fh.write("\n")
 
 
-def write_float_csv(path, header, x, y):
-    """Two float columns as ``csv.writer`` writes them (``%.17g``, ``\\r\\n``
-    line ends), built as one string and written in one call."""
-    rows = "".join(f"{a:.17g},{b:.17g}\r\n" for a, b in zip(x.tolist(), y.tolist()))
+def write_float_csv(path, header, *columns):
+    """Columns as ``csv.writer`` writes them (floats ``%.17g``, str cells as
+    they are, ``\\r\\n`` line ends), built as one string and written in one call."""
+    cells = [[v if isinstance(v, str) else f"{v:.17g}"
+              for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
+    rows = "".join(",".join(row) + "\r\n" for row in zip(*cells))
     with open(path, "w", newline="") as fh:
         fh.write(f"{header}\r\n{rows}")
 

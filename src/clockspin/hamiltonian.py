@@ -16,13 +16,13 @@ m_S = 0 sector to {m_S = +-1} (x) bath, so ``block_hamiltonians`` assembles
 H_tot as those two blocks and never forms the full 3 * 2**N matrix.
 """
 
-import csv
 import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import constants, spinops
+from .echotrace import write_float_csv
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,8 @@ class ElectronSpectrum:
     gamma_eff: np.ndarray    # df/dB0 by centered finite difference (Hz/T)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["B0_T", "E1_Hz", "E2_Hz", "E3_Hz", "f_Hz", "gamma_eff_Hz_per_T"])
-            for i in range(len(self.b_grid)):
-                w.writerow(
-                    [f"{v:.17g}" for v in (
-                        self.b_grid[i], *self.energies[i], self.f[i], self.gamma_eff[i]
-                    )]
-                )
+        write_float_csv(path, "B0_T,E1_Hz,E2_Hz,E3_Hz,f_Hz,gamma_eff_Hz_per_T",
+                        self.b_grid, *self.energies.T, self.f, self.gamma_eff)
 
 
 def build_electronic(p: ModelParams) -> np.ndarray:

@@ -1,15 +1,26 @@
 import contextlib
 import json
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+import clockspin
 from clockspin import analysis, bath, config, dynamics
+from clockspin.bath import BathSpec
 from clockspin.cli import main
-from clockspin.config import RunConfig, apply_preset, parse_config_text
+from clockspin.config import AnalysisOptions, RunConfig, apply_preset, parse_config_text
+from clockspin.dynamics import SequenceConfig
 from clockspin.errors import ClockspinError, FitError
+from clockspin.hamiltonian import ModelParams
 
 N2_CONFIG = """
 # small deterministic configuration for CLI tests
@@ -72,6 +83,59 @@ class TestConfigParsing:
         )
         assert np.allclose(cfg.detuning_grid_mt(), [-2, -1, 0, 1, 2])
 
+    def test_describe_is_shortest_text_in_key_units(self):
+        text = RunConfig().describe()
+        assert text["tau_step_us"] == "0.1"
+        assert text["D_GHz"] == "-45" and text["B_min_mT"] == "23.5"
+        assert "phi_half_rad" not in text and "jobs" not in text     # None: not written
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_describe_text_parses_back_bit_for_bit(self, data):
+        cfg = data.draw(_valid_run_configs())
+        text = "".join(f"{k} = {v}\n" for k, v in cfg.describe().items())
+        back = parse_config_text(text)
+        assert back == cfg
+        assert repr(back) == repr(cfg)      # repr tells every double apart, -0.0 from 0.0
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _valid_run_configs(draw):
+    """A RunConfig of arbitrary valid values in SI units, as code builds it."""
+    def build(cls, **values):
+        try:
+            return cls(**values)
+        except ValueError:
+            reject()
+
+    angle = st.none() | _FLOATS
+    tau_step = draw(st.floats(min_value=5e-324, max_value=1e300))
+    return RunConfig(
+        model=build(ModelParams, D=draw(_FLOATS), E=draw(_FLOATS), gamma_e=draw(_FLOATS),
+                    B_min=draw(_FLOATS), gamma_H=draw(_POSITIVE)),
+        bath=build(BathSpec, n_nuclei=draw(st.integers(1, 12)), a_mean=draw(_FLOATS),
+                   a_halfwidth=draw(_FLOATS.map(abs)), psc_ratio=draw(_FLOATS.map(abs)),
+                   d_pair=draw(_FLOATS), n_realizations=draw(st.integers(min_value=1)),
+                   seed=draw(st.integers(0, 2**64 - 1)),
+                   angle_mode=draw(st.sampled_from(["isotropic", "uniform-theta"]))),
+        sequence=build(SequenceConfig, tau_step=tau_step,
+                       tau_max=tau_step * draw(st.integers(1, config._MAX_GRID_POINTS)),
+                       temperature=draw(_POSITIVE), phi_half=draw(angle), phi_pi=draw(angle)),
+        analysis=AnalysisOptions(
+            fit_model=draw(st.sampled_from(["mono", "stretched"])),
+            spectrum_mode=draw(st.sampled_from(["experimental", "simulation"])),
+            peak_threshold=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
+        **{f"{grid}_{end}_mt": draw(_FLOATS)
+           for grid in ("detuning", "zeeman") for end in ("start", "stop", "step")},
+        detuning_mt=draw(_FLOATS),
+        out_dir=draw(st.from_regex(r"[\w./-]+( [\w./-]+)*", fullmatch=True)),
+        jobs=draw(st.none() | st.integers(min_value=1)),
+    )
+
 
 class TestZeemanCommand:
     def test_default_range_has_ct_minimum(self, tmp_path):
@@ -90,7 +154,9 @@ class TestZeemanCommand:
         assert f[imin] == pytest.approx(9.0e9, rel=1e-9)
         # gamma_eff crosses zero at B_min
         assert geff[imin - 1] < 0 < geff[imin + 1]
-        assert (out / "manifest.json").exists()
+        keys = json.loads((out / "manifest.json").read_text())["config"]
+        assert (keys["zeeman_start_mT"], keys["zeeman_stop_mT"], keys["zeeman_step_mT"]) == \
+            ("-100", "350", "0.5")
 
     def test_empty_range_usage_error(self, tmp_path, capsys):
         rc = main(["zeeman", "--out", str(tmp_path / "z"),
@@ -118,6 +184,14 @@ class TestInputContract:
         "gamma_H_MHz_per_T = nan",
         "tau_step_us = 1e-6",       # 1e8 tau points, over the limit of one million
         "tau_max_us = 0.01",        # no tau point at the n1 step of 0.025 us
+        "tau_step_us = abc",
+        "D_GHz = 1e999999",         # overflows the decimal shift to Hz
+        "bath_N = 1.5",
+        "seed = -1",
+        "seed = 18446744073709551616",
+        "n_realizations = 0",
+        "fit_model = cubic",
+        "spectrum_mode = fourier",
     ])
     def test_invalid_value_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -136,6 +210,14 @@ class TestInputContract:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["clockspin: usage error: jobs must be at least 1"]
+        assert not out.exists()
+
+    def test_seed_flag_out_of_range_is_usage_error(self, tmp_path, capsys, n2_config):
+        out = tmp_path / "bad"
+        rc = main(["sweep", "--config", str(n2_config), "--out", str(out), "--seed", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["clockspin: usage error: seed must lie in [0, 2**64)"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -223,7 +305,7 @@ class TestEchoCommand:
         assert main(["echo", "--config", str(n2_config), "--out", str(out),
                      "--detuning-mT", "1", "--jobs", "2"]) == 0
         assert pools == [2]
-        assert json.loads((out / "manifest.json").read_text())["config"]["jobs"] == 2
+        assert json.loads((out / "manifest.json").read_text())["config"]["jobs"] == "2"
 
     def test_manifest_written_before_results(self, tmp_path, n2_config):
         out = tmp_path / "m"
@@ -232,8 +314,24 @@ class TestEchoCommand:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["software"] == "clockspin"
-        assert manifest["config"]["bath"]["N"] == 2
-        assert manifest["config"]["bath"]["seed"] == 42
+        assert manifest["config"]["bath_N"] == "2"
+        assert manifest["config"]["seed"] == "42"
+
+    def test_manifest_config_reruns_the_echo(self, tmp_path, n2_config):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["echo", "--config", str(n2_config), "--out", str(first),
+                     "--detuning-mT", "1.5", "--jobs", "2"]) == 0
+        keys = json.loads((first / "manifest.json").read_text())["config"]
+        rebuilt = tmp_path / "rebuilt.cfg"
+        rebuilt.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert main(["echo", "--config", str(rebuilt), "--out", str(again)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (first / name).read_bytes() == (again / name).read_bytes(), name
+        rerun = json.loads((again / "manifest.json").read_text())["config"]
+        assert rerun == {**keys, "out_dir": str(again)}
 
     def test_manifest_records_detuning_flag(self, tmp_path, n2_config):
         out = tmp_path / "d"
@@ -241,7 +339,7 @@ class TestEchoCommand:
                      "--detuning-mT", "20"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["detuning_mT"] == 20.0
-        assert manifest["config"]["detuning_mT"] == 20.0
+        assert manifest["config"]["detuning_mT"] == "20"
 
 
 class TestSweepCommand:
@@ -272,8 +370,8 @@ class TestSweepCommand:
                 assert (default / name).read_bytes() == (serial / name).read_bytes(), name
         # the manifests record the resolved worker count: 3 fields x 2 realizations
         manifest = json.loads((default / "manifest.json").read_text())
-        assert manifest["config"]["jobs"] == dynamics.worker_count(None, 6)
-        assert json.loads((serial / "manifest.json").read_text())["config"]["jobs"] == 1
+        assert manifest["config"]["jobs"] == str(dynamics.worker_count(None, 6))
+        assert json.loads((serial / "manifest.json").read_text())["config"]["jobs"] == "1"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_per_realization_jobs_keep_bytes(self, tmp_path, n2_config, monkeypatch, jobs):
@@ -344,6 +442,37 @@ class TestSweepCommand:
         monkeypatch.setattr(dynamics, "_FIELD_JOB_WORK", 0)     # one job per realization
         _check_failed_fit_stops_the_pool(tmp_path, n2_config, monkeypatch)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_sigterm_stops_the_pool_and_removes_results(self, tmp_path):
+        cfg = tmp_path / "n3.cfg"
+        cfg.write_text("bath_N = 3\nn_realizations = 10\n")
+        out = tmp_path / "t"
+        env = {**os.environ, "PYTHONPATH": str(Path(clockspin.__file__).parents[1])}
+        # 401 fields of N = 3: the pool is still busy when the signal comes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "clockspin.cli", "sweep", "--config", str(cfg),
+             "--out", str(out), "--jobs", "2", "--start-mT=-50", "--stop-mT", "50",
+             "--step-mT", "0.25"], env=env, stdout=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+                time.sleep(0.05)
+                workers = _child_pids(proc.pid)
+            assert len(workers) >= 2
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 143
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+            assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        finally:
+            for pid in [proc.pid] + workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+
     def test_seed_changes_output(self, tmp_path, n2_config):
         base = ["sweep", "--config", str(n2_config),
                 "--start-mT", "0", "--stop-mT", "0", "--step-mT", "1"]
@@ -353,6 +482,26 @@ class TestSweepCommand:
         a = (out1 / "trace_+000.000mT.csv").read_bytes()
         b = (out2 / "trace_+000.000mT.csv").read_bytes()
         assert a != b
+
+
+def _proc_stat(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name, or None."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return text[text.rindex(")") + 2:].split()
+
+
+def _child_pids(pid):
+    # /proc/<pid>/task/<tid>/children needs CONFIG_PROC_CHILDREN; a parent pid is always there
+    return [int(p.name) for p in Path("/proc").iterdir()
+            if p.name.isdigit() and (_proc_stat(p.name) or [None, None])[1] == str(pid)]
+
+
+def _running(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in "ZX"
 
 
 def _check_failed_fit_stops_the_pool(tmp_path, n2_config, monkeypatch):
