@@ -17,6 +17,24 @@ from .errors import FitError, PeakExtractionError
 
 NO_DECAY_FACTOR = 10.0          # sentinel: T_m >= 10x the observation window
 FLAT_RANGE_TOL = 1e-10          # relative range below which a trace is constant
+LOWPASS_HZ = 12e6               # simulation spectra: low-pass guard, clamped to Nyquist
+SMOOTH_POINTS = 5               # experimental spectra: moving-average width, bins
+PAD_FACTOR = 2                  # experimental spectra: zero padding, in record lengths
+
+
+@dataclass(frozen=True)
+class AnalysisOptions:
+    fit_model: str = "stretched"
+    spectrum_mode: str = "simulation"
+    peak_threshold: float = 0.1
+
+    def __post_init__(self):
+        if self.fit_model not in ("mono", "stretched"):
+            raise ValueError(f"unknown fit_model {self.fit_model!r}")
+        if self.spectrum_mode not in ("experimental", "simulation"):
+            raise ValueError(f"unknown spectrum_mode {self.spectrum_mode!r}")
+        if not 0 < self.peak_threshold < 1:
+            raise ValueError("peak_threshold must lie in (0, 1)")
 
 
 @dataclass
@@ -151,7 +169,6 @@ def subtract_background(trace: EchoTrace, fit: DecayFit) -> EchoTrace:
 class Peak:
     freq: float            # Hz, parabola-refined
     amplitude: float
-    label: str = ""
 
 
 @dataclass
@@ -171,14 +188,12 @@ class Spectrum:
         write_float_csv(path, "freq_MHz,amplitude", self.freq * 1e-6, self.amplitude)
 
 
-def spectrum(trace: EchoTrace, mode: str = "simulation",
-             lowpass_hz: float = 12e6, smooth_points: int = 5,
-             pad_factor: int = 2) -> Spectrum:
+def spectrum(trace: EchoTrace, mode: str = "simulation") -> Spectrum:
     """Magnitude FFT of a trace against tau (simulation traces should be residuals).
 
-    Experimental mode zero-pads by ``pad_factor`` times the record length and
-    smooths with a ``smooth_points`` moving average.  Simulation mode applies
-    a low-pass guard at ``min(lowpass_hz, Nyquist)``; at the default 100 ns
+    Experimental mode zero-pads by ``PAD_FACTOR`` times the record length and
+    smooths with a ``SMOOTH_POINTS`` moving average.  Simulation mode applies
+    a low-pass guard at ``min(LOWPASS_HZ, Nyquist)``; at the default 100 ns
     stepping the guard clamps to Nyquist and leaves all bins untouched.
     """
     t = trace.tau
@@ -192,20 +207,17 @@ def spectrum(trace: EchoTrace, mode: str = "simulation",
     n = y.size
     proc = {"mode": mode, "n_samples": int(n), "dt_s": float(dt)}
     if mode == "experimental":
-        y = np.concatenate([y, np.zeros(pad_factor * n)])
-        proc["zero_pad"] = int(pad_factor * n)
+        y = np.concatenate([y, np.zeros(PAD_FACTOR * n)])
+        proc["zero_pad"] = int(PAD_FACTOR * n)
         z = np.fft.rfft(y)
         freq = np.fft.rfftfreq(y.size, dt)
-        amp = np.abs(z)
-        if smooth_points > 1:
-            kernel = np.ones(smooth_points) / smooth_points
-            amp = np.convolve(amp, kernel, mode="same")
-        proc["smoothing"] = f"{smooth_points}-point average"
+        amp = np.convolve(np.abs(z), np.ones(SMOOTH_POINTS) / SMOOTH_POINTS, mode="same")
+        proc["smoothing"] = f"{SMOOTH_POINTS}-point average"
     elif mode == "simulation":
         z = np.fft.rfft(y)
         freq = np.fft.rfftfreq(n, dt)
         nyquist = freq[-1]
-        cutoff = min(lowpass_hz, nyquist)
+        cutoff = min(LOWPASS_HZ, nyquist)
         z = np.where(freq <= cutoff, z, 0.0)
         amp = np.abs(z)
         proc["lowpass_hz"] = float(cutoff)
@@ -215,19 +227,17 @@ def spectrum(trace: EchoTrace, mode: str = "simulation",
 
 
 def find_peaks(spec: Spectrum, threshold_fraction: float = 0.1,
-               f_min: float = 0.0, f_max: float | None = None) -> list:
+               f_min: float = 0.0) -> list:
     """Local maxima above a fraction of the band maximum, parabola-refined.
 
-    ``f_min``/``f_max`` restrict both the candidates and the reference
-    maximum to a frequency band (useful to skip the low-frequency residue of
+    ``f_min`` restricts both the candidates and the reference maximum to
+    frequencies at or above it (useful to skip the low-frequency residue of
     the background subtraction).
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold_fraction must be in (0, 1)")
     amp = spec.amplitude
     band = spec.freq >= f_min
-    if f_max is not None:
-        band &= spec.freq <= f_max
     top = amp[band].max() if np.any(band) else 0.0
     if top <= 0.0:
         return []
@@ -249,6 +259,28 @@ def find_peaks(spec: Spectrum, threshold_fraction: float = 0.1,
         peaks.append(Peak(freq=float(freq), amplitude=float(height)))
     peaks.sort(key=lambda p: p.freq)
     return peaks
+
+
+def analyze(trace: EchoTrace, nu_h: float, options: AnalysisOptions):
+    """The per-field recipe: ``(fit, residual, spectrum, peaks)`` of an averaged trace.
+
+    The decay background is fit with a baseline, on the trace smoothed over
+    one proton period ``1 / nu_h`` (unsmoothed if ``nu_h`` is 0).  A residual
+    below 1e-9 of ``|baseline| + |I0|`` is numerical noise and reports no
+    peaks.  A decay-dominated trace leaves
+    a low-frequency residue of the background subtraction that would dominate
+    a global threshold; it has no ESEEM content below 0.3 MHz, so its peaks
+    are sought above that.
+    """
+    fit = fit_decay(trace, model=options.fit_model, baseline=True,
+                    smooth_hz=nu_h if nu_h > 0 else None)
+    residual = subtract_background(trace, fit)
+    spec = spectrum(residual, mode=options.spectrum_mode)
+    if np.max(np.abs(residual.intensity)) < 1e-9 * (abs(fit.baseline) + abs(fit.i0)):
+        return fit, residual, spec, []
+    decay_dominated = abs(fit.i0) > 0.5 * abs(fit.baseline) and not fit.no_decay
+    peaks = find_peaks(spec, options.peak_threshold, f_min=0.3e6 if decay_dominated else 0.0)
+    return fit, residual, spec, peaks
 
 
 @dataclass

@@ -79,25 +79,6 @@ def _load_run_config(args) -> config.RunConfig:
     return config._override(cfg, flags)
 
 
-def _analyze(trace, cfg: config.RunConfig, nu_h: float):
-    fit = analysis.fit_decay(trace, model=cfg.analysis.fit_model,
-                             baseline=True, smooth_hz=nu_h if nu_h > 0 else None)
-    residual = analysis.subtract_background(trace, fit)
-    spec = analysis.spectrum(residual, mode=cfg.analysis.spectrum_mode)
-    signal_scale = abs(fit.baseline) + abs(fit.i0)
-    if np.max(np.abs(residual.intensity)) < 1e-9 * signal_scale:
-        # residual at numerical-noise level: no modulation to report
-        return fit, residual, spec, []
-    # Decay-dominated traces leave a low-frequency background-subtraction
-    # residue that would dominate a global threshold; there is no ESEEM
-    # content below ~0.3 MHz for these fields.
-    decay_dominated = abs(fit.i0) > 0.5 * abs(fit.baseline)
-    f_min = 0.3e6 if decay_dominated and not fit.no_decay else 0.0
-    peaks = analysis.find_peaks(spec, threshold_fraction=cfg.analysis.peak_threshold,
-                                f_min=f_min)
-    return fit, residual, spec, peaks
-
-
 def _write_fit_json(fit, path):
     _write_json_atomic(
         {
@@ -126,41 +107,37 @@ def cmd_zeeman(args) -> int:
     return 0
 
 
+def _field_job(cfg, db_mt, trace_csv, trace_json, spectrum_csv, trace):
+    """Write one field's trace, sidecar and spectrum and analyse it; return
+    ``(B0, fit, peaks, bin_width)`` for the command's summary files."""
+    trace.write_csv(trace_csv)
+    trace.write_sidecar(trace_json)
+    params = cfg.model.at_detuning(db_mt * 1e-3)
+    fit, _, spec, peaks = analysis.analyze(trace, params.proton_larmor(), cfg.analysis)
+    spec.write_csv(spectrum_csv)
+    return params.B0, fit, peaks, spec.bin_width
+
+
 def cmd_echo(args) -> int:
     cfg = _load_run_config(args)
-    params = cfg.model.at_detuning(cfg.detuning_mt * 1e-3)
+    cfg.model.at_detuning(cfg.detuning_mt * 1e-3)   # refuses a non-finite field before the run
     cfg.jobs = dynamics.worker_count(cfg.jobs, cfg.bath.n_realizations)
     with _run_directory(cfg, "echo", detuning_mT=cfg.detuning_mt) as result:
         (avg,) = dynamics.field_sweep(cfg.model, cfg.bath, cfg.sequence,
                                       [cfg.detuning_mt * 1e-3], jobs=cfg.jobs)
-        fit, residual, spec, peaks = _analyze(avg, cfg, params.proton_larmor())
-        rows = analysis.peak_map([params.B0], [peaks], params.gamma_H, spec.bin_width)
+        b0, fit, peaks, bin_width = _field_job(cfg, cfg.detuning_mt, result("trace.csv"),
+                                               result("trace.json"), result("spectrum.csv"), avg)
+        analysis.subtract_background(avg, fit).write_csv(result("residual.csv"))
         # peak_map emits a row at the exact frequency of every peak
-        labels = {r.freq: r.label for r in rows}
-        for p in peaks:
-            p.label = labels[p.freq]
-        avg.write_csv(result("trace.csv"))
-        avg.write_sidecar(result("trace.json"))
-        residual.write_csv(result("residual.csv"))
-        spec.write_csv(result("spectrum.csv"))
+        labels = {r.freq: r.label
+                  for r in analysis.peak_map([b0], [peaks], cfg.model.gamma_H, bin_width)}
         write_float_csv(result("peaks.csv"), "f_MHz,amplitude,label",
                         [p.freq * 1e-6 for p in peaks], [p.amplitude for p in peaks],
-                        [p.label for p in peaks])
+                        [labels[p.freq] for p in peaks])
         _write_fit_json(fit, result("fit.json"))
     print(f"echo: detuning {cfg.detuning_mt:+.3f} mT, {len(peaks)} peaks, "
           f"T_m = {fit.t_m * 1e6:.3f} us -> {Path(cfg.out_dir)}")
     return 0
-
-
-def _sweep_field_job(cfg, db_mt, trace_csv, trace_json, spectrum_csv, trace):
-    """Write one sweep field's trace and spectrum files; return
-    ``(B0, fit, peaks, bin_width)`` for the sweep's summary files."""
-    trace.write_csv(trace_csv)
-    trace.write_sidecar(trace_json)
-    params = cfg.model.at_detuning(db_mt * 1e-3)
-    fit, _, spec, peaks = _analyze(trace, cfg, params.proton_larmor())
-    spec.write_csv(spectrum_csv)
-    return params.B0, fit, peaks, spec.bin_width
 
 
 def cmd_sweep(args) -> int:
@@ -174,7 +151,7 @@ def cmd_sweep(args) -> int:
         for db_mt in grid_mt:
             tag = f"{db_mt:+08.3f}mT"
             finish.append(functools.partial(
-                _sweep_field_job, cfg, db_mt, result(f"trace_{tag}.csv"),
+                _field_job, cfg, db_mt, result(f"trace_{tag}.csv"),
                 result(f"trace_{tag}.json"), result(f"spectrum_{tag}.csv")))
         fields = dynamics.field_sweep(cfg.model, cfg.bath, cfg.sequence, grid_mt * 1e-3,
                                       jobs=cfg.jobs, finish=finish)

@@ -13,24 +13,10 @@ from decimal import Decimal
 
 import numpy as np
 
+from .analysis import AnalysisOptions
 from .bath import BathSpec
 from .dynamics import _MAX_GRID_POINTS, SequenceConfig
 from .hamiltonian import ModelParams
-
-
-@dataclass
-class AnalysisOptions:
-    fit_model: str = "stretched"
-    spectrum_mode: str = "simulation"
-    peak_threshold: float = 0.1
-
-    def __post_init__(self):
-        if self.fit_model not in ("mono", "stretched"):
-            raise ValueError(f"unknown fit_model {self.fit_model!r}")
-        if self.spectrum_mode not in ("experimental", "simulation"):
-            raise ValueError(f"unknown spectrum_mode {self.spectrum_mode!r}")
-        if not 0 < self.peak_threshold < 1:
-            raise ValueError("peak_threshold must lie in (0, 1)")
 
 
 # key -> (RunConfig section or None for RunConfig itself, attribute, type,
@@ -145,6 +131,9 @@ def _override(cfg: RunConfig, values: dict) -> RunConfig:
         if key not in _KEYS:
             raise ValueError(f"unknown key {key!r}")
         section, attr, kind, power = _KEYS[key]
+        if kind is str and ("#" in text or text != text.strip()):
+            # such a value would not parse back from a config file
+            raise ValueError(f"{key}: {text!r} holds '#' or leading or trailing blanks")
         try:
             value = float(Decimal(text).scaleb(power)) if kind is float else kind(text)
         except (ValueError, ArithmeticError):

@@ -114,7 +114,7 @@ def _electron_pulse(phi: float) -> np.ndarray:
     return _EYE3 + (np.cos(phi / 2.0) - 1.0) * _PULSE_P + 1j * np.sin(phi / 2.0) * _PULSE_J
 
 
-def calibrate_pulses(h_electronic: np.ndarray, tol: float = 1e-4):
+def calibrate_pulses(h_electronic: np.ndarray):
     """Numerically calibrate the pulse angles against the electronic spectrum.
 
     Returns:
@@ -137,7 +137,7 @@ def calibrate_pulses(h_electronic: np.ndarray, tol: float = 1e-4):
     lo, hi = max(best - 0.2, 1e-6), min(best + 0.2, np.pi)
     res = minimize_scalar(
         lambda p: -transfer(p), bounds=(lo, hi), method="bounded",
-        options={"xatol": tol},
+        options={"xatol": 1e-4},
     )
     phi_pi = float(res.x)
     if transfer(np.pi) >= transfer(phi_pi):
@@ -151,7 +151,7 @@ def calibrate_pulses(h_electronic: np.ndarray, tol: float = 1e-4):
         psi = _electron_pulse(phi) @ g
         return abs(e.conj() @ psi) ** 2 - abs(g.conj() @ psi) ** 2
 
-    phi_half = float(brentq(imbalance, 1e-6, phi_pi, xtol=tol))
+    phi_half = float(brentq(imbalance, 1e-6, phi_pi, xtol=1e-4))
     return phi_half, phi_pi
 
 

@@ -110,7 +110,7 @@ def _bath_operators(n_nuclei: int):
     return ix, iy, iz, pair
 
 
-def bath_hamiltonian_matrix(p: ModelParams, bath, n_nuclei: int) -> np.ndarray:
+def bath_hamiltonian_matrix(p: ModelParams, bath) -> np.ndarray:
     """Intra-bath Hamiltonian on the bath-only space (dim 2**N).
 
     ``H_I = -sum_{m<n} D_mn (3 cos^2 theta_mn - 1)
@@ -119,8 +119,7 @@ def bath_hamiltonian_matrix(p: ModelParams, bath, n_nuclei: int) -> np.ndarray:
     The Zeeman term uses the full applied field B0 (B_min shifts only the
     electron term).  The pair sum runs over unordered pairs.
     """
-    if len(bath.a_sc) != n_nuclei:
-        raise ValueError(f"bath has {len(bath.a_sc)} nuclei but N = {n_nuclei}")
+    n_nuclei = bath.n_nuclei
     _, _, iz, pair = _bath_operators(n_nuclei)
     dim = 2**n_nuclei
     h = np.zeros((dim, dim), dtype=complex)
@@ -149,7 +148,7 @@ def block_hamiltonians(params: ModelParams, bath):
         b_op = np.zeros((nb, nb), dtype=complex)
         for m in range(n):
             b_op += bath.a_sc[m] * iz[m] + bath.a_psc[m] * (ix[m] + iy[m])
-        h_i = bath_hamiltonian_matrix(params, bath, n)
+        h_i = bath_hamiltonian_matrix(params, bath)
     else:
         b_op = np.zeros((1, 1), dtype=complex)
         h_i = np.zeros((1, 1), dtype=complex)

@@ -75,7 +75,7 @@ def reference_hamiltonian(params: ModelParams, bath) -> np.ndarray:
             nuc = bath.a_sc[m] * iz + bath.a_psc[m] * (ix + iy)
             site = np.kron(np.kron(np.eye(2**m), nuc), np.eye(2 ** (n - m - 1)))
             h = h + np.kron(sz, site)
-        h = h + np.kron(np.eye(3), hamiltonian.bath_hamiltonian_matrix(params, bath, n))
+        h = h + np.kron(np.eye(3), hamiltonian.bath_hamiltonian_matrix(params, bath))
     return h
 
 

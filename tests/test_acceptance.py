@@ -75,14 +75,12 @@ def eseem_line_depth(trace, fit, line_freqs):
 
 
 def sweep_analysis(traces, grid_mt, params):
-    """Shared per-field analysis for the ensemble criteria."""
+    """Shared per-field analysis for the ensemble criteria: the recipe of
+    ``clockspin sweep`` at the default analysis options."""
     rows = {}
     for db_mt, trace in zip(grid_mt, traces):
-        nu_h = abs(params.gamma_H * (params.B_min + db_mt * 1e-3))
-        fit = analysis.fit_decay(trace, baseline=True, smooth_hz=nu_h)
-        residual = analysis.subtract_background(trace, fit)
-        spec = analysis.spectrum(residual)
-        peaks = analysis.find_peaks(spec, 0.1, f_min=0.3e6)
+        nu_h = params.at_detuning(db_mt * 1e-3).proton_larmor()
+        fit, residual, spec, peaks = analysis.analyze(trace, nu_h, analysis.AnalysisOptions())
         depth = modulation_depth(residual, DEPTH_WINDOW, fit)
         rows[float(db_mt)] = {
             "trace": trace, "fit": fit, "spec": spec, "peaks": peaks,
@@ -372,7 +370,7 @@ class TestCriterion6PseudosecularAblation:
         for db_mt, trace in zip(grid_mt, traces):
             pp = params.at_detuning(db_mt * 1e-3)
             nu_h = pp.proton_larmor()
-            fit = analysis.fit_decay(trace, baseline=True, smooth_hz=nu_h)
+            fit, *_ = analysis.analyze(trace, nu_h, analysis.AnalysisOptions())
             depth_off = eseem_line_depth(trace, fit, self._line_freqs(pp, spec_off))
             # ESEEM lines gone: absolute floor and >= 200x suppression vs the
             # pseudosecular-on control (the detector floor is background

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from clockspin.analysis import (
+    AnalysisOptions,
     Peak,
+    analyze,
     effective_hyperfine,
     find_peaks,
     fit_decay,
@@ -184,6 +186,30 @@ class TestFindPeaks:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 find_peaks(spec, bad)
+
+
+class TestAnalyze:
+    TAU = 100e-9 * np.arange(1, 1001)
+
+    def test_noise_level_residual_has_no_peaks(self):
+        # a 1 MHz line 1e-12 deep: far below 1e-9 of the signal, yet the
+        # largest bin of the residual spectrum
+        y = 0.7 + 1e-12 * np.sin(2 * np.pi * 1e6 * self.TAU)
+        _, residual, spec, peaks = analyze(trace_from_t(y), 1e6, AnalysisOptions())
+        assert np.max(np.abs(residual.intensity)) > 0
+        assert find_peaks(spec, 0.1)
+        assert peaks == []
+
+    def test_decay_dominated_trace_skips_peaks_below_0p3_mhz(self):
+        # equal lines at 0.15 and 2 MHz on a decay from 1.1 to a 0.1 plateau
+        t = 2 * self.TAU
+        y = 0.1 + stretched(t, 1.0, 20e-6, 1.0) + 0.02 * (
+            np.cos(2 * np.pi * 0.15e6 * self.TAU) + np.cos(2 * np.pi * 2e6 * self.TAU))
+        fit, _, spec, peaks = analyze(trace_from_t(y), 1e6, AnalysisOptions())
+        assert not fit.no_decay and abs(fit.i0) > 0.5 * abs(fit.baseline)
+        assert any(p.freq < 0.3e6 for p in find_peaks(spec, 0.1))
+        assert peaks and all(p.freq >= 0.3e6 for p in peaks)
+        assert any(abs(p.freq - 2e6) < spec.bin_width for p in peaks)
 
 
 class TestEffectiveHyperfine:

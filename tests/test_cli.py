@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import clockspin
 from clockspin import analysis, bath, config, dynamics
+from clockspin.analysis import AnalysisOptions
 from clockspin.bath import BathSpec
 from clockspin.cli import main
-from clockspin.config import AnalysisOptions, RunConfig, apply_preset, parse_config_text
+from clockspin.config import RunConfig, apply_preset, parse_config_text
 from clockspin.dynamics import SequenceConfig
 from clockspin.errors import ClockspinError, FitError
 from clockspin.hamiltonian import ModelParams
@@ -253,6 +254,18 @@ class TestInputContract:
                        f"range has 1000001 points, more than {config._MAX_GRID_POINTS}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("out_dir", ["runs/a#b", " runs", "runs "])
+    def test_out_dir_that_no_config_file_holds_is_usage_error(self, tmp_path, capsys,
+                                                              monkeypatch, n2_config, out_dir):
+        # The manifest's config block must parse back to the run, but in a
+        # config file '#' starts a comment and the blanks around a value go.
+        monkeypatch.chdir(tmp_path)
+        rc = main(["echo", "--config", str(n2_config), "--out", out_dir])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("clockspin: usage error: out_dir: ")
+        assert list(tmp_path.iterdir()) == [n2_config]
+
     def test_grid_at_point_limit_is_built(self):
         cfg = RunConfig(zeeman_start_mt=0.0, zeeman_stop_mt=999_999.0, zeeman_step_mt=1.0)
         assert cfg.zeeman_grid_mt().size == config._MAX_GRID_POINTS == 1_000_000
@@ -292,8 +305,11 @@ class TestEchoCommand:
                      "--detuning-mT", "1", "--jobs", "2"]) == 0
         assert main(["sweep", "--config", str(n2_config), "--out", str(sweep_out),
                      "--start-mT", "1", "--stop-mT", "1", "--step-mT", "1"]) == 0
-        assert (echo_out / "trace.csv").read_bytes() == \
-            (sweep_out / "trace_+001.000mT.csv").read_bytes()
+        for echo_name, sweep_name in (("trace.csv", "trace_+001.000mT.csv"),
+                                      ("trace.json", "trace_+001.000mT.json"),
+                                      ("spectrum.csv", "spectrum_+001.000mT.csv")):
+            assert (echo_out / echo_name).read_bytes() == \
+                (sweep_out / sweep_name).read_bytes(), echo_name
 
     def test_echo_forks_one_pool_of_two(self, tmp_path, n2_config, monkeypatch):
         # one field on two workers: one job per realization

@@ -112,7 +112,7 @@ class TestHyperfine:
         p = ModelParams().at_detuning(2e-3)
         bath = single_proton(a_sc=0.0, a_psc=0.0)
         h = reference_hamiltonian(p, bath)
-        h_i = bath_hamiltonian_matrix(p, bath, 1)
+        h_i = bath_hamiltonian_matrix(p, bath)
         assert np.max(np.abs(h - np.kron(build_electronic(p), np.eye(2))
                              - np.kron(np.eye(3), h_i))) == 0.0
 
@@ -135,10 +135,6 @@ class TestHyperfine:
             assert np.max(np.abs(h2 - h[np.ix_(pm_rows, pm_rows)])) < scale
             assert np.max(np.abs(h0 - h[zero, zero])) < scale
 
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            bath_hamiltonian_matrix(ModelParams(), single_proton(), 2)
-
     def test_commutes_with_sz_not_with_bath_transverse(self):
         h = hyperfine_part(single_proton())
         sz = np.kron(np.diag([1.0, -1.0]), np.eye(2))
@@ -150,7 +146,7 @@ class TestHyperfine:
 class TestBathHamiltonian:
     def test_single_nucleus_pure_zeeman(self):
         p = ModelParams()
-        h = bath_hamiltonian_matrix(p, single_proton(), 1)
+        h = bath_hamiltonian_matrix(p, single_proton())
         nu = p.gamma_H * p.B0
         assert np.allclose(np.linalg.eigvalsh(h), [-nu / 2, nu / 2])
 
@@ -161,7 +157,7 @@ class TestBathHamiltonian:
             theta=np.array([[0.0, magic], [magic, 0.0]]), d_pair=10e3,
         )
         p = ModelParams(B0=0.0)
-        h = bath_hamiltonian_matrix(p, bath, 2)
+        h = bath_hamiltonian_matrix(p, bath)
         assert np.max(np.abs(h)) < 1e-6
 
     def test_aligned_pair_hand_eigenvalues(self):
@@ -173,13 +169,13 @@ class TestBathHamiltonian:
             a_sc=np.array([0.0, 0.0]), a_psc=np.array([0.0, 0.0]),
             theta=np.zeros((2, 2)), d_pair=d,
         )
-        h = bath_hamiltonian_matrix(ModelParams(B0=0.0), bath, 2)
+        h = bath_hamiltonian_matrix(ModelParams(B0=0.0), bath)
         assert np.allclose(np.linalg.eigvalsh(h), [-d, -d, 0.0, 2 * d], atol=1e-9)
 
     def test_nuclear_zeeman_uses_full_field_not_detuning(self):
         # B0 = B_min must still produce a finite proton Zeeman splitting
         p = ModelParams()  # detuning zero
-        h = bath_hamiltonian_matrix(p, single_proton(), 1)
+        h = bath_hamiltonian_matrix(p, single_proton())
         assert np.max(np.abs(h)) > 0.4e6
 
     def test_cached_operators_are_read_only(self):
