@@ -17,38 +17,21 @@ from .errors import FitError, PeakExtractionError
 
 NO_DECAY_FACTOR = 10.0          # sentinel: T_m >= 10x the observation window
 FLAT_RANGE_TOL = 1e-10          # relative range below which a trace is constant
-LOWPASS_HZ = 12e6               # simulation spectra: low-pass guard, clamped to Nyquist
-SMOOTH_POINTS = 5               # experimental spectra: moving-average width, bins
-PAD_FACTOR = 2                  # experimental spectra: zero padding, in record lengths
-
-
-@dataclass(frozen=True)
-class AnalysisOptions:
-    fit_model: str = "stretched"
-    spectrum_mode: str = "simulation"
-    peak_threshold: float = 0.1
-
-    def __post_init__(self):
-        if self.fit_model not in ("mono", "stretched"):
-            raise ValueError(f"unknown fit_model {self.fit_model!r}")
-        if self.spectrum_mode not in ("experimental", "simulation"):
-            raise ValueError(f"unknown spectrum_mode {self.spectrum_mode!r}")
-        if not 0 < self.peak_threshold < 1:
-            raise ValueError("peak_threshold must lie in (0, 1)")
+LOWPASS_HZ = 12e6               # spectra: low-pass guard, clamped to Nyquist
+PEAK_THRESHOLD = 0.1            # peaks: above this fraction of the band maximum
 
 
 @dataclass
 class DecayFit:
-    """Decay background ``I(t) = baseline + I0 exp[-(t/T_m)^x]``.
+    """Stretched decay background ``I(t) = baseline + I0 exp[-(t/T_m)^x]``.
 
     The baseline is zero unless the fit was asked to resolve the finite-bath
     plateau (see ``fit_decay``).
     """
 
-    model: str                  # "mono" or "stretched"
     i0: float
     t_m: float                  # phase-memory time (s), in t = 2 tau units
-    exponent: float             # stretch exponent x (1 for mono)
+    exponent: float             # stretch exponent x
     residual_norm: float        # rms residual of the fit
     window: float               # fitted time span (s)
     baseline: float = 0.0
@@ -76,16 +59,16 @@ def _boxcar_smooth(trace: EchoTrace, smooth_hz: float) -> EchoTrace:
                      meta=dict(trace.meta))
 
 
-def fit_decay(trace: EchoTrace, model: str = "stretched",
-              baseline: bool = False, smooth_hz: float | None = None) -> DecayFit:
-    """Least-squares decay fit of an echo trace against t = 2 tau.
+def fit_decay(trace: EchoTrace, baseline: bool = False,
+              smooth_hz: float | None = None) -> DecayFit:
+    """Least-squares stretched-decay fit of an echo trace against t = 2 tau.
 
-    Initialization is deterministic: I0 from the first sample, T_m from the
-    1/e point of the trace range, x = 1.  A trace with no resolvable decay
-    reports the sentinel ``T_m = 10 * window``.
+    The stretch exponent x is free in [0.5, 3].  Initialization is
+    deterministic: I0 from the first sample, T_m from the 1/e point of the
+    trace range, x = 1.  A trace with no resolvable decay reports the
+    sentinel ``T_m = 10 * window``.
 
     Args:
-        model: "stretched" (x free in [0.5, 3]) or "mono" (x = 1).
         baseline: also fit a constant offset.  Finite baths refocus to a
             nonzero plateau, which the pure decay model cannot represent.
         smooth_hz: if set, fit a moving-average of the trace over one period
@@ -96,8 +79,6 @@ def fit_decay(trace: EchoTrace, model: str = "stretched",
     Raises:
         FitError: if the optimizer fails to converge.
     """
-    if model not in ("mono", "stretched"):
-        raise ValueError(f"unknown decay model {model!r}")
     if smooth_hz is not None:
         trace = _boxcar_smooth(trace, smooth_hz)
     t = trace.times
@@ -109,7 +90,7 @@ def fit_decay(trace: EchoTrace, model: str = "stretched",
     if (np.max(y) - np.min(y)) < FLAT_RANGE_TOL * scale:
         # Constant trace: the background is exactly the mean (a finite T_m
         # would make the sentinel curve decay over the window).
-        return DecayFit(model=model, i0=0.0, t_m=NO_DECAY_FACTOR * window,
+        return DecayFit(i0=0.0, t_m=NO_DECAY_FACTOR * window,
                         exponent=1.0, residual_norm=float(np.std(y)),
                         window=window, baseline=float(np.mean(y)))
 
@@ -120,18 +101,16 @@ def fit_decay(trace: EchoTrace, model: str = "stretched",
     tm_init = float(t[crossed[0]]) if crossed.size else window
     tm_hi = 1e3 * window
 
-    x_free = model == "stretched"
-    p0 = [i0_init, tm_init] + ([1.0] if x_free else [])
-    lo = [-np.inf, t[0] * 1e-3] + ([0.5] if x_free else [])
-    hi = [np.inf, tm_hi] + ([3.0] if x_free else [])
+    p0 = [i0_init, tm_init, 1.0]
+    lo = [-np.inf, t[0] * 1e-3, 0.5]
+    hi = [np.inf, tm_hi, 3.0]
     if baseline:
         p0.append(c0)
         lo.append(-np.inf)
         hi.append(np.inf)
 
     def fun(tt, *pars):
-        i0, tm = pars[0], pars[1]
-        x = pars[2] if x_free else 1.0
+        i0, tm, x = pars[:3]
         c = pars[-1] if baseline else 0.0
         return c + i0 * np.exp(-((tt / tm) ** x))
 
@@ -140,10 +119,9 @@ def fit_decay(trace: EchoTrace, model: str = "stretched",
     except RuntimeError as exc:
         raise FitError(
             "decay fit did not converge",
-            diagnostics={"model": model, "p0": p0, "window": window},
+            diagnostics={"p0": p0, "window": window},
         ) from exc
-    i0, t_m = float(popt[0]), float(popt[1])
-    x = float(popt[2]) if x_free else 1.0
+    i0, t_m, x = map(float, popt[:3])
     c = float(popt[-1]) if baseline else 0.0
     resid = float(np.sqrt(np.mean((y - fun(t, *popt)) ** 2)))
     # A decay smaller than twice the fit noise is unresolved: report the
@@ -151,7 +129,7 @@ def fit_decay(trace: EchoTrace, model: str = "stretched",
     span = abs(fun(t[0], *popt) - fun(t[-1], *popt))
     if span < 2.0 * resid:
         t_m = max(t_m, NO_DECAY_FACTOR * window)
-    return DecayFit(model=model, i0=i0, t_m=t_m, exponent=x,
+    return DecayFit(i0=i0, t_m=t_m, exponent=x,
                     residual_norm=resid, window=window, baseline=c)
 
 
@@ -160,7 +138,7 @@ def subtract_background(trace: EchoTrace, fit: DecayFit) -> EchoTrace:
     residual = trace.intensity - fit.evaluate(trace.times)
     meta = dict(trace.meta)
     meta["background"] = {
-        "model": fit.model, "I0": fit.i0, "T_m_s": fit.t_m, "x": fit.exponent,
+        "model": "stretched", "I0": fit.i0, "T_m_s": fit.t_m, "x": fit.exponent,
     }
     return EchoTrace(tau=trace.tau.copy(), intensity=residual, meta=meta)
 
@@ -188,13 +166,12 @@ class Spectrum:
         write_float_csv(path, "freq_MHz,amplitude", self.freq * 1e-6, self.amplitude)
 
 
-def spectrum(trace: EchoTrace, mode: str = "simulation") -> Spectrum:
-    """Magnitude FFT of a trace against tau (simulation traces should be residuals).
+def spectrum(trace: EchoTrace) -> Spectrum:
+    """Magnitude FFT of a trace against tau (pass the background residual).
 
-    Experimental mode zero-pads by ``PAD_FACTOR`` times the record length and
-    smooths with a ``SMOOTH_POINTS`` moving average.  Simulation mode applies
-    a low-pass guard at ``min(LOWPASS_HZ, Nyquist)``; at the default 100 ns
-    stepping the guard clamps to Nyquist and leaves all bins untouched.
+    A low-pass guard at ``min(LOWPASS_HZ, Nyquist)`` zeroes the bins above it;
+    at the default 100 ns stepping the guard clamps to Nyquist and leaves all
+    bins untouched.
     """
     t = trace.tau
     if t.size < 2:
@@ -203,30 +180,15 @@ def spectrum(trace: EchoTrace, mode: str = "simulation") -> Spectrum:
     dt = steps[0]
     if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise ValueError("non-uniform time grid")
-    y = trace.intensity
-    n = y.size
-    proc = {"mode": mode, "n_samples": int(n), "dt_s": float(dt)}
-    if mode == "experimental":
-        y = np.concatenate([y, np.zeros(PAD_FACTOR * n)])
-        proc["zero_pad"] = int(PAD_FACTOR * n)
-        z = np.fft.rfft(y)
-        freq = np.fft.rfftfreq(y.size, dt)
-        amp = np.convolve(np.abs(z), np.ones(SMOOTH_POINTS) / SMOOTH_POINTS, mode="same")
-        proc["smoothing"] = f"{SMOOTH_POINTS}-point average"
-    elif mode == "simulation":
-        z = np.fft.rfft(y)
-        freq = np.fft.rfftfreq(n, dt)
-        nyquist = freq[-1]
-        cutoff = min(LOWPASS_HZ, nyquist)
-        z = np.where(freq <= cutoff, z, 0.0)
-        amp = np.abs(z)
-        proc["lowpass_hz"] = float(cutoff)
-    else:
-        raise ValueError(f"unknown spectrum mode {mode!r}")
-    return Spectrum(freq=freq, amplitude=amp, complex_amplitude=z, processing=proc)
+    z = np.fft.rfft(trace.intensity)
+    freq = np.fft.rfftfreq(t.size, dt)
+    cutoff = min(LOWPASS_HZ, freq[-1])
+    z = np.where(freq <= cutoff, z, 0.0)
+    proc = {"n_samples": int(t.size), "dt_s": float(dt), "lowpass_hz": float(cutoff)}
+    return Spectrum(freq=freq, amplitude=np.abs(z), complex_amplitude=z, processing=proc)
 
 
-def find_peaks(spec: Spectrum, threshold_fraction: float = 0.1,
+def find_peaks(spec: Spectrum, threshold_fraction: float = PEAK_THRESHOLD,
                f_min: float = 0.0) -> list:
     """Local maxima above a fraction of the band maximum, parabola-refined.
 
@@ -261,25 +223,24 @@ def find_peaks(spec: Spectrum, threshold_fraction: float = 0.1,
     return peaks
 
 
-def analyze(trace: EchoTrace, nu_h: float, options: AnalysisOptions):
+def analyze(trace: EchoTrace, nu_h: float):
     """The per-field recipe: ``(fit, residual, spectrum, peaks)`` of an averaged trace.
 
     The decay background is fit with a baseline, on the trace smoothed over
     one proton period ``1 / nu_h`` (unsmoothed if ``nu_h`` is 0).  A residual
     below 1e-9 of ``|baseline| + |I0|`` is numerical noise and reports no
-    peaks.  A decay-dominated trace leaves
-    a low-frequency residue of the background subtraction that would dominate
-    a global threshold; it has no ESEEM content below 0.3 MHz, so its peaks
-    are sought above that.
+    peaks; the others are those above ``PEAK_THRESHOLD`` of the band maximum.
+    A decay-dominated trace leaves a low-frequency residue of the background
+    subtraction that would dominate a global threshold; it has no ESEEM
+    content below 0.3 MHz, so its peaks are sought above that.
     """
-    fit = fit_decay(trace, model=options.fit_model, baseline=True,
-                    smooth_hz=nu_h if nu_h > 0 else None)
+    fit = fit_decay(trace, baseline=True, smooth_hz=nu_h if nu_h > 0 else None)
     residual = subtract_background(trace, fit)
-    spec = spectrum(residual, mode=options.spectrum_mode)
+    spec = spectrum(residual)
     if np.max(np.abs(residual.intensity)) < 1e-9 * (abs(fit.baseline) + abs(fit.i0)):
         return fit, residual, spec, []
     decay_dominated = abs(fit.i0) > 0.5 * abs(fit.baseline) and not fit.no_decay
-    peaks = find_peaks(spec, options.peak_threshold, f_min=0.3e6 if decay_dominated else 0.0)
+    peaks = find_peaks(spec, PEAK_THRESHOLD, f_min=0.3e6 if decay_dominated else 0.0)
     return fit, residual, spec, peaks
 
 

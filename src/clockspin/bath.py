@@ -29,7 +29,6 @@ class BathSpec:
     d_pair: float = 10e3
     n_realizations: int = 10
     seed: int = 1234
-    angle_mode: str = "isotropic"   # "isotropic": cos(theta) uniform; "uniform-theta": theta uniform
 
     def __post_init__(self):
         if self.n_nuclei < 1:
@@ -45,8 +44,6 @@ class BathSpec:
             raise ValueError("a_halfwidth must be >= 0")
         if self.psc_ratio < 0:
             raise ValueError("psc_ratio must be >= 0")
-        if self.angle_mode not in ("isotropic", "uniform-theta"):
-            raise ValueError(f"unknown angle_mode {self.angle_mode!r}")
 
 
 @dataclass
@@ -70,7 +67,8 @@ def sample_bath(spec: BathSpec, index: int) -> BathRealization:
 
     Deterministic for ``(spec.seed, index)``: the Philox key is the pair
     itself.  Draw order is fixed (couplings first, then the upper-triangle
-    pair angles row by row).
+    pair angles row by row).  Pair orientations are isotropic: cos(theta) is
+    uniform on [-1, 1].
     """
     if index < 0:
         raise ValueError("realization index must be >= 0")
@@ -82,10 +80,7 @@ def sample_bath(spec: BathSpec, index: int) -> BathRealization:
     theta = np.zeros((n, n))
     iu, ju = np.triu_indices(n, k=1)
     if iu.size:
-        if spec.angle_mode == "isotropic":
-            angles = np.arccos(rng.uniform(-1.0, 1.0, iu.size))
-        else:
-            angles = rng.uniform(0.0, np.pi, iu.size)
+        angles = np.arccos(rng.uniform(-1.0, 1.0, iu.size))
         theta[iu, ju] = angles
         theta[ju, iu] = angles
     return BathRealization(

@@ -9,8 +9,6 @@ out as ``KEY = VALUE`` lines, reproduces the run bit for bit.
 import argparse
 import contextlib
 import functools
-import json
-import os
 import signal
 import sys
 from pathlib import Path
@@ -18,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, config, dynamics, validate
-from .echotrace import write_float_csv
+from .echotrace import write_float_csv, write_json
 from .errors import ClockspinError
 
 
@@ -30,14 +28,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_json_atomic(payload: dict, path: Path):
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
 @contextlib.contextmanager
 def _run_directory(cfg: config.RunConfig, command: str, **extra):
     """Open ``cfg.out_dir`` for one run and yield a function that names a result file.
@@ -47,11 +37,9 @@ def _run_directory(cfg: config.RunConfig, command: str, **extra):
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json_atomic(
-        {"software": "clockspin", "version": __version__, "command": command,
-         "config": cfg.describe(), **extra},
-        out_dir / "manifest.json",
-    )
+    write_json(out_dir / "manifest.json",
+               {"software": "clockspin", "version": __version__, "command": command,
+                "config": cfg.describe(), **extra})
     results = []
 
     def result(name: str) -> Path:
@@ -79,21 +67,6 @@ def _load_run_config(args) -> config.RunConfig:
     return config._override(cfg, flags)
 
 
-def _write_fit_json(fit, path):
-    _write_json_atomic(
-        {
-            "model": fit.model,
-            "I0": fit.i0,
-            "T_m_us": fit.t_m * 1e6,
-            "x": fit.exponent,
-            "baseline": fit.baseline,
-            "residual": fit.residual_norm,
-            "no_decay": fit.no_decay,
-        },
-        path,
-    )
-
-
 def cmd_zeeman(args) -> int:
     cfg = _load_run_config(args)
     grid_mt = cfg.zeeman_grid_mt()
@@ -113,7 +86,7 @@ def _field_job(cfg, db_mt, trace_csv, trace_json, spectrum_csv, trace):
     trace.write_csv(trace_csv)
     trace.write_sidecar(trace_json)
     params = cfg.model.at_detuning(db_mt * 1e-3)
-    fit, _, spec, peaks = analysis.analyze(trace, params.proton_larmor(), cfg.analysis)
+    fit, _, spec, peaks = analysis.analyze(trace, params.proton_larmor())
     spec.write_csv(spectrum_csv)
     return params.B0, fit, peaks, spec.bin_width
 
@@ -134,7 +107,10 @@ def cmd_echo(args) -> int:
         write_float_csv(result("peaks.csv"), "f_MHz,amplitude,label",
                         [p.freq * 1e-6 for p in peaks], [p.amplitude for p in peaks],
                         [labels[p.freq] for p in peaks])
-        _write_fit_json(fit, result("fit.json"))
+        write_json(result("fit.json"),
+                   {"model": "stretched", "I0": fit.i0, "T_m_us": fit.t_m * 1e6,
+                    "x": fit.exponent, "baseline": fit.baseline,
+                    "residual": fit.residual_norm, "no_decay": fit.no_decay})
     print(f"echo: detuning {cfg.detuning_mt:+.3f} mT, {len(peaks)} peaks, "
           f"T_m = {fit.t_m * 1e6:.3f} us -> {Path(cfg.out_dir)}")
     return 0
@@ -169,7 +145,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = validate.run_all(inject_e_sign_error=args.inject_e_sign_error)
+    results = validate.run_all()
     all_pass = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -213,8 +189,6 @@ def build_parser() -> _Parser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the built-in invariant suite")
-    p_val.add_argument("--inject-e-sign-error", action="store_true",
-                       help=argparse.SUPPRESS)
     p_val.set_defaults(func=cmd_validate)
     return parser
 

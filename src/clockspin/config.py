@@ -13,7 +13,6 @@ from decimal import Decimal
 
 import numpy as np
 
-from .analysis import AnalysisOptions
 from .bath import BathSpec
 from .dynamics import _MAX_GRID_POINTS, SequenceConfig
 from .hamiltonian import ModelParams
@@ -34,15 +33,11 @@ _KEYS = {
     "D_pair_kHz": ("bath", "d_pair", float, 3),
     "n_realizations": ("bath", "n_realizations", int, 0),
     "seed": ("bath", "seed", int, 0),
-    "angle_mode": ("bath", "angle_mode", str, 0),
     "tau_step_us": ("sequence", "tau_step", float, -6),
     "tau_max_us": ("sequence", "tau_max", float, -6),
     "temperature_K": ("sequence", "temperature", float, 0),
     "phi_half_rad": ("sequence", "phi_half", float, 0),
     "phi_pi_rad": ("sequence", "phi_pi", float, 0),
-    "fit_model": ("analysis", "fit_model", str, 0),
-    "spectrum_mode": ("analysis", "spectrum_mode", str, 0),
-    "peak_threshold": ("analysis", "peak_threshold", float, 0),
     "detuning_start_mT": (None, "detuning_start_mt", float, 0),
     "detuning_stop_mT": (None, "detuning_stop_mt", float, 0),
     "detuning_step_mT": (None, "detuning_step_mt", float, 0),
@@ -69,7 +64,6 @@ class RunConfig:
     model: ModelParams = field(default_factory=ModelParams)
     bath: BathSpec = field(default_factory=BathSpec)
     sequence: SequenceConfig = field(default_factory=SequenceConfig)
-    analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     detuning_start_mt: float = -5.0
     detuning_stop_mt: float = 5.0
     detuning_step_mt: float = 0.5

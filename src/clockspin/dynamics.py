@@ -49,7 +49,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from . import __version__ as _pkg_version
 from . import bath as bath_mod
@@ -74,7 +74,8 @@ class SequenceConfig:
     """Hahn-echo sequence settings.
 
     Defaults: 100 ns delay increments out to 100 us at 5 K.  Pulse angles of
-    ``None`` are calibrated numerically per field (see ``calibrate_pulses``).
+    ``None`` come from ``calibrate_pulses`` per field: phi_pi = pi in closed
+    form and phi_half calibrated numerically.
     """
 
     tau_step: float = 100e-9
@@ -115,37 +116,27 @@ def _electron_pulse(phi: float) -> np.ndarray:
 
 
 def calibrate_pulses(h_electronic: np.ndarray):
-    """Numerically calibrate the pulse angles against the electronic spectrum.
+    """Pulse angles for the two lowest electronic eigenstates.
+
+    On the +-1 doublet the pulse is the rotation ``exp[i phi sigma_y / 2]``,
+    so the transfer between the two lowest eigenstates is sin^2(phi/2) when
+    both lie in that doublet, and phi_pi = pi in closed form.  phi_half, which
+    equalizes the two populations starting from the ground state, is
+    calibrated numerically.
 
     Returns:
-        ``(phi_half, phi_pi)``: phi_pi maximizes the population transfer
-        between the two lowest electronic eigenstates over (0, pi]; phi_half
-        equalizes the two populations starting from the ground state.
+        ``(phi_half, phi_pi)`` with ``phi_pi = pi``.
 
     Raises:
-        CalibrationError: if the pulse cannot move at least half the
-            population (no usable maximum).
+        CalibrationError: if the pi pulse moves less than half the population
+            (an m_S = 0 level is among the two lowest states).
     """
-    vals, vecs = hamiltonian.eigensolve(h_electronic)
+    _, vecs = hamiltonian.eigensolve(h_electronic)
     g, e = vecs[:, 0], vecs[:, 1]
-
-    def transfer(phi):
-        return abs(e.conj() @ _electron_pulse(phi) @ g) ** 2
-
-    coarse = np.linspace(1e-3, np.pi, 64)
-    best = coarse[np.argmax([transfer(p) for p in coarse])]
-    lo, hi = max(best - 0.2, 1e-6), min(best + 0.2, np.pi)
-    res = minimize_scalar(
-        lambda p: -transfer(p), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-4},
-    )
-    phi_pi = float(res.x)
-    if transfer(np.pi) >= transfer(phi_pi):
-        phi_pi = np.pi
-    if transfer(phi_pi) < 0.5:
-        raise CalibrationError(
-            f"maximum population transfer {transfer(phi_pi):.3f} < 0.5"
-        )
+    phi_pi = np.pi
+    transfer = abs(e.conj() @ _electron_pulse(phi_pi) @ g) ** 2
+    if transfer < 0.5:
+        raise CalibrationError(f"maximum population transfer {transfer:.3f} < 0.5")
 
     def imbalance(phi):
         psi = _electron_pulse(phi) @ g

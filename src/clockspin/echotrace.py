@@ -1,7 +1,9 @@
 """Echo trace container and serialization."""
 
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -38,9 +40,7 @@ class EchoTrace:
         write_float_csv(path, "tau_us,intensity", self.tau * 1e6, self.intensity)
 
     def write_sidecar(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True, default=_jsonify)
-            fh.write("\n")
+        write_json(path, self.meta)
 
 
 def write_float_csv(path, header, *columns):
@@ -51,6 +51,17 @@ def write_float_csv(path, header, *columns):
     rows = "".join(",".join(row) + "\r\n" for row in zip(*cells))
     with open(path, "w", newline="") as fh:
         fh.write(f"{header}\r\n{rows}")
+
+
+def write_json(path, payload):
+    """``payload`` as indented, key-sorted JSON with a final newline, written to
+    a temporary file beside ``path`` and moved into place."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonify)
+        fh.write("\n")
+    os.replace(tmp, path)
 
 
 def _jsonify(obj):

@@ -4,7 +4,7 @@ Also home of the dense full-space echo reference, the oracle that the block
 engine in ``dynamics`` is checked against here and in the tests.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -108,23 +108,17 @@ def reference_echo(params: ModelParams, bath, seq, phi_half: float,
     return echo
 
 
-def check_electronic_eigenvalues(inject_e_sign_error: bool = False) -> CheckResult:
-    p = ModelParams()
-    if inject_e_sign_error:
-        p = replace(p, E=-p.E)
-    vals, _ = hamiltonian.eigensolve(hamiltonian.build_electronic(p))
+def check_electronic_eigenvalues() -> CheckResult:
+    vals, _ = hamiltonian.eigensolve(hamiltonian.build_electronic(ModelParams()))
     expected = np.array([-19.5e9, -10.5e9, 30.0e9])
     resid = float(np.max(np.abs(vals - expected) / np.abs(expected)))
     return CheckResult("electronic-eigenvalues", resid < 1e-9, resid, 1e-9,
                        "CT eigenvalues vs {-|D|/3 - E, -|D|/3 + E, +2|D|/3}")
 
 
-def check_ct_eigenvector_order(inject_e_sign_error: bool = False) -> CheckResult:
+def check_ct_eigenvector_order() -> CheckResult:
     """The upper state of the CT doublet must be the symmetric combination."""
-    p = ModelParams()
-    if inject_e_sign_error:
-        p = replace(p, E=-p.E)
-    _, vecs = hamiltonian.eigensolve(hamiltonian.build_electronic(p))
+    _, vecs = hamiltonian.eigensolve(hamiltonian.build_electronic(ModelParams()))
     plus = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
     overlap = abs(np.vdot(plus, vecs[:, 1]))
     resid = float(1.0 - overlap)
@@ -176,10 +170,10 @@ def check_n1_no_decay() -> CheckResult:
                        "line-spectrum reconstruction residual, N=1 at +20 mT")
 
 
-def run_all(inject_e_sign_error: bool = False) -> list:
+def run_all() -> list:
     return [
-        check_electronic_eigenvalues(inject_e_sign_error),
-        check_ct_eigenvector_order(inject_e_sign_error),
+        check_electronic_eigenvalues(),
+        check_ct_eigenvector_order(),
         check_projection_mappings(),
         check_propagator_oracle(),
         check_n1_no_decay(),

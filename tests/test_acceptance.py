@@ -80,7 +80,7 @@ def sweep_analysis(traces, grid_mt, params):
     rows = {}
     for db_mt, trace in zip(grid_mt, traces):
         nu_h = params.at_detuning(db_mt * 1e-3).proton_larmor()
-        fit, residual, spec, peaks = analysis.analyze(trace, nu_h, analysis.AnalysisOptions())
+        fit, residual, spec, peaks = analysis.analyze(trace, nu_h)
         depth = modulation_depth(residual, DEPTH_WINDOW, fit)
         rows[float(db_mt)] = {
             "trace": trace, "fit": fit, "spec": spec, "peaks": peaks,
@@ -370,7 +370,7 @@ class TestCriterion6PseudosecularAblation:
         for db_mt, trace in zip(grid_mt, traces):
             pp = params.at_detuning(db_mt * 1e-3)
             nu_h = pp.proton_larmor()
-            fit, *_ = analysis.analyze(trace, nu_h, analysis.AnalysisOptions())
+            fit, *_ = analysis.analyze(trace, nu_h)
             depth_off = eseem_line_depth(trace, fit, self._line_freqs(pp, spec_off))
             # ESEEM lines gone: absolute floor and >= 200x suppression vs the
             # pseudosecular-on control (the detector floor is background

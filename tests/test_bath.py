@@ -69,11 +69,6 @@ class TestSampleBath:
         assert abs(cosines.mean()) < 0.02
         assert abs(cosines.var() - 1.0 / 3.0) < 0.01
 
-    def test_uniform_theta_mode_differs(self):
-        iso = sample_bath(BathSpec(seed=1), 0)
-        uni = sample_bath(BathSpec(seed=1, angle_mode="uniform-theta"), 0)
-        assert not np.array_equal(iso.theta, uni.theta)
-
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             BathSpec(n_nuclei=0)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import os
 import pickle
@@ -14,8 +15,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import clockspin
-from clockspin import analysis, bath, config, dynamics
-from clockspin.analysis import AnalysisOptions
+from clockspin import analysis, bath, config, dynamics, validate
 from clockspin.bath import BathSpec
 from clockspin.cli import main
 from clockspin.config import RunConfig, apply_preset, parse_config_text
@@ -121,15 +121,10 @@ def _valid_run_configs(draw):
         bath=build(BathSpec, n_nuclei=draw(st.integers(1, 12)), a_mean=draw(_FLOATS),
                    a_halfwidth=draw(_FLOATS.map(abs)), psc_ratio=draw(_FLOATS.map(abs)),
                    d_pair=draw(_FLOATS), n_realizations=draw(st.integers(min_value=1)),
-                   seed=draw(st.integers(0, 2**64 - 1)),
-                   angle_mode=draw(st.sampled_from(["isotropic", "uniform-theta"]))),
+                   seed=draw(st.integers(0, 2**64 - 1))),
         sequence=build(SequenceConfig, tau_step=tau_step,
                        tau_max=tau_step * draw(st.integers(1, config._MAX_GRID_POINTS)),
                        temperature=draw(_POSITIVE), phi_half=draw(angle), phi_pi=draw(angle)),
-        analysis=AnalysisOptions(
-            fit_model=draw(st.sampled_from(["mono", "stretched"])),
-            spectrum_mode=draw(st.sampled_from(["experimental", "simulation"])),
-            peak_threshold=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
         **{f"{grid}_{end}_mt": draw(_FLOATS)
            for grid in ("detuning", "zeeman") for end in ("start", "stop", "step")},
         detuning_mt=draw(_FLOATS),
@@ -193,6 +188,7 @@ class TestInputContract:
         "n_realizations = 0",
         "fit_model = cubic",
         "spectrum_mode = fourier",
+        "angle_mode = uniform-theta",
     ])
     def test_invalid_value_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -557,8 +553,9 @@ class TestValidateCommand:
         assert out.count("PASS") >= 5
         assert "FAIL" not in out
 
-    def test_injected_e_sign_error_flagged_by_order_check(self, capsys):
-        rc = main(["validate", "--inject-e-sign-error"])
+    def test_injected_e_sign_error_flagged_by_order_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(validate, "ModelParams", functools.partial(ModelParams, E=-4.5e9))
+        rc = main(["validate"])
         out = capsys.readouterr().out
         assert rc == 2
         for line in out.splitlines():

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from clockspin import constants, dynamics
@@ -14,6 +16,7 @@ from clockspin.dynamics import (
     field_sweep,
     hahn_echo_trace,
 )
+from clockspin.errors import CalibrationError
 from clockspin.hamiltonian import ModelParams, build_electronic, eigensolve
 from clockspin.spinops import spin1_generators
 from clockspin.validate import reference_echo, reference_hamiltonian
@@ -212,13 +215,34 @@ class TestCalibratePulses:
             prev = angles
 
     def test_unreachable_transition_raises(self):
-        # past ~0.64 T the m_S = 0 level becomes the second eigenstate; the
-        # echo pulse cannot drive population into it
-        from clockspin.errors import CalibrationError
+        # the echo pulse cannot drive population into or out of m_S = 0:
+        # past ~0.64 T it is the second eigenstate, and for D > 0 the ground state
+        for params in (ModelParams().at_detuning(0.7), ModelParams(D=45e9)):
+            with pytest.raises(CalibrationError):
+                calibrate_pulses(build_electronic(params))
 
-        h = build_electronic(ModelParams().at_detuning(0.7))
-        with pytest.raises(CalibrationError):
-            calibrate_pulses(h)
+    @settings(deadline=None)
+    @given(sign=st.sampled_from([-1.0, 1.0]), d=st.floats(1e9, 1e11),
+           e_ratio=st.floats(-0.99, 0.99), gamma_e=st.floats(1e10, 2e11),
+           detuning=st.floats(-1.0, 1.0))
+    def test_pi_maximizes_transfer(self, sign, d, e_ratio, gamma_e, detuning):
+        # the two lowest states are both in the +-1 doublet (transfer
+        # sin^2(phi/2)) or one is m_S = 0 (transfer 0): pi is a maximum
+        # either way, and calibration fails exactly in the second case
+        params = ModelParams(D=sign * d, E=e_ratio * d, gamma_e=gamma_e)
+        h = build_electronic(params.at_detuning(detuning))
+        _, vecs = eigensolve(h)
+
+        def transfer(phi):
+            return abs(vecs[:, 1].conj() @ _electron_pulse(phi) @ vecs[:, 0]) ** 2
+
+        at_pi = transfer(np.pi)
+        assert all(transfer(phi) <= at_pi + 1e-12 for phi in np.linspace(0, np.pi, 65)[1:])
+        if at_pi < 0.5:
+            with pytest.raises(CalibrationError):
+                calibrate_pulses(h)
+        else:
+            assert calibrate_pulses(h)[1] == np.pi
 
 
 class TestHahnEcho:
