@@ -17,7 +17,7 @@ from .errors import FitError, PeakExtractionError
 
 NO_DECAY_FACTOR = 10.0          # sentinel: T_m >= 10x the observation window
 FLAT_RANGE_TOL = 1e-10          # relative range below which a trace is constant
-LOWPASS_HZ = 12e6               # spectra: low-pass guard, clamped to Nyquist
+LOWPASS_HZ = 12e6               # spectra: low-pass guard, bins above it are zeroed
 PEAK_THRESHOLD = 0.1            # peaks: above this fraction of the band maximum
 
 
@@ -117,10 +117,7 @@ def fit_decay(trace: EchoTrace, baseline: bool = False,
     try:
         popt, _ = curve_fit(fun, t, y, p0=p0, bounds=(lo, hi), maxfev=20000)
     except RuntimeError as exc:
-        raise FitError(
-            "decay fit did not converge",
-            diagnostics={"p0": p0, "window": window},
-        ) from exc
+        raise FitError("decay fit did not converge") from exc
     i0, t_m, x = map(float, popt[:3])
     c = float(popt[-1]) if baseline else 0.0
     resid = float(np.sqrt(np.mean((y - fun(t, *popt)) ** 2)))
@@ -136,11 +133,7 @@ def fit_decay(trace: EchoTrace, baseline: bool = False,
 def subtract_background(trace: EchoTrace, fit: DecayFit) -> EchoTrace:
     """Residual trace after removing the fitted background."""
     residual = trace.intensity - fit.evaluate(trace.times)
-    meta = dict(trace.meta)
-    meta["background"] = {
-        "model": "stretched", "I0": fit.i0, "T_m_s": fit.t_m, "x": fit.exponent,
-    }
-    return EchoTrace(tau=trace.tau.copy(), intensity=residual, meta=meta)
+    return EchoTrace(tau=trace.tau.copy(), intensity=residual, meta=dict(trace.meta))
 
 
 @dataclass
@@ -155,8 +148,6 @@ class Spectrum:
 
     freq: np.ndarray
     amplitude: np.ndarray
-    complex_amplitude: np.ndarray
-    processing: dict
 
     @property
     def bin_width(self) -> float:
@@ -169,9 +160,8 @@ class Spectrum:
 def spectrum(trace: EchoTrace) -> Spectrum:
     """Magnitude FFT of a trace against tau (pass the background residual).
 
-    A low-pass guard at ``min(LOWPASS_HZ, Nyquist)`` zeroes the bins above it;
-    at the default 100 ns stepping the guard clamps to Nyquist and leaves all
-    bins untouched.
+    A low-pass guard zeroes the bins above ``LOWPASS_HZ``; at the default
+    100 ns stepping the Nyquist frequency lies below it and every bin is kept.
     """
     t = trace.tau
     if t.size < 2:
@@ -182,10 +172,8 @@ def spectrum(trace: EchoTrace) -> Spectrum:
         raise ValueError("non-uniform time grid")
     z = np.fft.rfft(trace.intensity)
     freq = np.fft.rfftfreq(t.size, dt)
-    cutoff = min(LOWPASS_HZ, freq[-1])
-    z = np.where(freq <= cutoff, z, 0.0)
-    proc = {"n_samples": int(t.size), "dt_s": float(dt), "lowpass_hz": float(cutoff)}
-    return Spectrum(freq=freq, amplitude=np.abs(z), complex_amplitude=z, processing=proc)
+    z = np.where(freq <= LOWPASS_HZ, z, 0.0)
+    return Spectrum(freq=freq, amplitude=np.abs(z))
 
 
 def find_peaks(spec: Spectrum, threshold_fraction: float = PEAK_THRESHOLD,
@@ -252,10 +240,6 @@ class EffectiveCoupling:
     orientation: int       # +1 if the upper peak is stronger, -1 if lower, 0 if merged
     lower: Peak | None
     upper: Peak | None
-
-    @property
-    def signed(self) -> float:
-        return self.orientation * self.a_eff if self.orientation else 0.0
 
 
 def effective_hyperfine(peaks, nu_h: float, bin_hz: float = 0.0) -> EffectiveCoupling:

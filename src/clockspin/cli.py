@@ -62,7 +62,7 @@ def _load_run_config(args) -> config.RunConfig:
     if args.preset:
         cfg = config.apply_preset(cfg, args.preset)
     if args.config:
-        cfg = config.load_config(args.config, base=cfg)
+        cfg = config.parse_config_text(Path(args.config).read_text(), base=cfg)
     flags = {k: v for k, v in vars(args).items() if k in config._KEYS and v is not None}
     return config._override(cfg, flags)
 

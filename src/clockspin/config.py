@@ -154,11 +154,6 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return _override(base if base is not None else RunConfig(), values)
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read(), base=base)
-
-
 def apply_preset(cfg: RunConfig, preset: str) -> RunConfig:
     """Named parameter sets: ``n7`` (headline ensemble) and ``n1`` (single proton)."""
     if preset not in _PRESETS:

@@ -326,16 +326,20 @@ def _pinned_map(fn, args, workers: int):
     OpenBLAS rounds differently on another thread count (eigh and GEMM at
     d >= 128 with OpenBLAS 0.3.31), so the block pins the count to one and,
     for ``workers > 1``, forks its pool inside it: the workers inherit the
-    count and the results do not depend on ``workers``.  If the block raises,
-    the calls not yet started are cancelled and the block ends once the
-    running ones have, so no call outlives it.
+    count and the results do not depend on ``workers``.  However the block
+    ends, even by an exception or signal while ``map`` is still submitting,
+    the calls not yet handed to a worker are cancelled and the block waits
+    for the others, so no call outlives it.
     """
     with _single_threaded_blas():
         if workers <= 1:
             yield map(fn, args)
             return
-        with _worker_pool(workers) as pool, contextlib.closing(pool.map(fn, args)) as results:
-            yield results
+        pool = _worker_pool(workers)
+        try:
+            yield pool.map(fn, args)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def worker_count(jobs: int | None, n_jobs: int) -> int:

@@ -12,10 +12,6 @@ class CalibrationError(ClockspinError):
 class FitError(ClockspinError):
     """Nonlinear least-squares fit did not converge."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 class PeakExtractionError(ClockspinError):
     """Required spectral peaks are absent (e.g. no pair flanking nu_H)."""

@@ -24,6 +24,10 @@ import numpy as np
 from . import constants, spinops
 from .echotrace import write_float_csv
 
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -79,7 +83,7 @@ class ElectronSpectrum:
 
 def build_electronic(p: ModelParams) -> np.ndarray:
     """3x3 electronic Hamiltonian (Hz); Hermitian and traceless."""
-    sx, sy, sz, _, _, _ = spinops.spin1_generators()
+    sx, sy, sz, _ = spinops.spin1_generators()
     h = (
         p.D * (sz @ sz - (2.0 / 3.0) * np.eye(3))
         + p.E * (sx @ sx - sy @ sy)
@@ -152,12 +156,10 @@ def block_hamiltonians(params: ModelParams, bath):
     else:
         b_op = np.zeros((1, 1), dtype=complex)
         h_i = np.zeros((1, 1), dtype=complex)
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sigma_z = np.diag([1.0, -1.0]).astype(complex)
     h2 = (
         (params.D / 3.0) * np.eye(2 * nb, dtype=complex)
-        + params.E * np.kron(sigma_x, eye_b)
-        + np.kron(sigma_z, params.gamma_e * params.detuning * eye_b + b_op)
+        + params.E * np.kron(_SIGMA_X, eye_b)
+        + np.kron(_SIGMA_Z, params.gamma_e * params.detuning * eye_b + b_op)
         + np.kron(np.eye(2, dtype=complex), h_i)
     )
     h0 = -(2.0 * params.D / 3.0) * np.eye(nb, dtype=complex) + h_i
@@ -216,17 +218,12 @@ _CT_BASIS = np.array(
     [[1.0, 1.0], [0.0, 0.0], [1.0, -1.0]], dtype=complex
 ) / np.sqrt(2.0)
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 @dataclass
 class FictitiousSpinModel:
     """Projection of the S=1 model onto the clock-transition doublet."""
 
     h_eff: np.ndarray        # 2x2 effective Hamiltonian E*sz + gamma_e*dB*sx (Hz)
-    basis: np.ndarray        # 3x2 columns (|+>, |->)
     mapping: dict            # spin-1 operator name -> projected 2x2 block
     expected: dict           # operator name -> exact projected block
 
@@ -243,7 +240,7 @@ def project_fictitious(p: ModelParams) -> FictitiousSpinModel:
     The anticommutator block has unit magnitude; the pulse exp[i phi {Sx,Sy}/2]
     therefore acts on the doublet as a Bloch rotation by phi about y.
     """
-    sx, sy, sz, ac, _, _ = spinops.spin1_generators()
+    sx, sy, sz, ac = spinops.spin1_generators()
     b = _CT_BASIS
 
     def block(op):
@@ -271,4 +268,4 @@ def project_fictitious(p: ModelParams) -> FictitiousSpinModel:
         "anticomm_zx": zero,
     }
     h_eff = p.E * _SIGMA_Z + p.gamma_e * p.detuning * _SIGMA_X
-    return FictitiousSpinModel(h_eff=h_eff, basis=b.copy(), mapping=mapping, expected=expected)
+    return FictitiousSpinModel(h_eff=h_eff, mapping=mapping, expected=expected)

@@ -25,14 +25,14 @@ def spin1_generators():
     """Spin-1 generators in the ``{+1, 0, -1}`` basis.
 
     Returns:
-        Tuple ``(Sx, Sy, Sz, anticomm_xy, Splus, Sminus)`` where
+        Tuple ``(Sx, Sy, Sz, anticomm_xy)`` where
         ``anticomm_xy = Sx@Sy + Sy@Sx`` is the generator of the echo pulses.
     """
     sx = (_SPLUS + _SMINUS) / 2.0
     sy = (_SPLUS - _SMINUS) / 2.0j
     sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
     anticomm_xy = sx @ sy + sy @ sx
-    return sx, sy, sz, anticomm_xy, _SPLUS.copy(), _SMINUS.copy()
+    return sx, sy, sz, anticomm_xy
 
 
 def spin_half_generators():

@@ -92,7 +92,7 @@ def reference_echo(params: ModelParams, bath, seq, phi_half: float,
     nb = h.shape[0] // 3
     rho = expm(-constants.PLANCK / (constants.KBOLTZ * seq.temperature) * h)
     rho /= np.trace(rho).real
-    _, _, sz, ac, _, _ = spinops.spin1_generators()
+    _, _, sz, ac = spinops.spin1_generators()
     p_half, p_pi = (np.kron(expm(0.5j * phi * ac), np.eye(nb)) for phi in (phi_half, phi_pi))
     f, v = np.linalg.eigh(h)
     rho1 = v.conj().T @ p_half @ rho @ p_half.conj().T @ v

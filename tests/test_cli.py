@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,14 @@ class TestInputContract:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("clockspin: usage error: ")
+        assert not out.exists()
+
+    def test_unreadable_config_is_io_failure(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        rc = main(["echo", "--config", str(tmp_path), "--out", str(out)])     # a directory
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("clockspin: I/O failure: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -453,6 +462,42 @@ class TestSweepCommand:
         # the fit fails in the parent, which reads the pool's results lazily
         monkeypatch.setattr(dynamics, "_FIELD_JOB_WORK", 0)     # one job per realization
         _check_failed_fit_stops_the_pool(tmp_path, n2_config, monkeypatch)
+
+    @pytest.mark.parametrize("stop", [SystemExit(143), KeyboardInterrupt()],
+                             ids=["sigterm", "ctrl_c"])
+    def test_stop_while_submitting_cancels_the_submitted_jobs(self, tmp_path, n2_config,
+                                                              monkeypatch, stop):
+        # A signal that lands in Executor.map's submit loop leaves map before
+        # its iterator exists; the pool must still cancel what it was given.
+        monkeypatch.setattr(dynamics, "_FIELD_JOB_WORK", 0)     # 42 per-realization jobs
+        traces = tmp_path / "traces"
+        sample_bath = bath.sample_bath
+
+        def counted(*args):
+            with open(traces, "a") as fh:
+                fh.write(".\n")
+            time.sleep(0.05)
+            return sample_bath(*args)
+
+        submitted = []
+        submit = ProcessPoolExecutor.submit
+
+        def submit_then_stop(self, *args, **kwargs):
+            if len(submitted) == 30:
+                raise stop
+            submitted.append(1)
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(bath, "sample_bath", counted)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_stop)
+        out = tmp_path / "s"
+        with pytest.raises(type(stop)):
+            main(["sweep", "--config", str(n2_config), "--out", str(out), "--jobs", "2",
+                  "--start-mT", "-10", "--stop-mT", "10", "--step-mT", "1"])
+        assert len(submitted) == 30
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        # only the 2 running jobs and the 3 in the pool's call queue may run; 10 leaves slack
+        assert len(traces.read_text().splitlines()) <= 10
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_sigterm_stops_the_pool_and_removes_results(self, tmp_path):

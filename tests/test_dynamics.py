@@ -127,7 +127,7 @@ class TestPropagate:
     def test_matrix_exponential_oracle(self):
         # the reference's eigenbasis delays against an independent
         # scaling-and-squaring propagator at tau <= 1 us, dim <= 48
-        _, _, sz, ac, _, _ = spin1_generators()
+        _, _, sz, ac = spin1_generators()
         p = ModelParams().at_detuning(3e-3)
         seq = SequenceConfig(tau_step=250e-9, tau_max=1e-6)
         for n in (1, 2, 3, 4):
@@ -175,7 +175,7 @@ class TestPulseOperator:
         assert np.max(np.abs(lhs - _electron_pulse(a + b))) < 1e-12
 
     def test_matches_matrix_exponential(self):
-        _, _, _, ac, _, _ = spin1_generators()
+        _, _, _, ac = spin1_generators()
         for phi in (0.2, np.pi / 2, np.pi, 2.5):
             oracle = expm(1j * phi * ac / 2)
             assert np.max(np.abs(_electron_pulse(phi) - oracle)) < 1e-12

@@ -7,7 +7,11 @@ from clockspin.hamiltonian import ModelParams, block_hamiltonians, build_electro
 from clockspin.spinops import embed_bath, is_hermitian, spin1_generators, spin_half_generators
 from clockspin.validate import reference_echo, reference_hamiltonian
 
-SX, SY, SZ, AC, SP, SM = spin1_generators()
+SX, SY, SZ, AC = spin1_generators()
+# Spin-1 ladder operators in the m_S = {+1, 0, -1} basis, written out here as
+# an oracle independent of the library's generators.
+SP = np.array([[0, np.sqrt(2), 0], [0, 0, np.sqrt(2)], [0, 0, 0]], dtype=complex)
+SM = SP.conj().T
 IX, IY, IZ = spin_half_generators()
 
 
