@@ -1,9 +1,10 @@
 """Command-line driver: zeeman, echo, sweep and validate subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure,
-143 terminated by SIGTERM.  Every run directory receives a ``manifest.json``
-(written atomically before any result file) whose ``config`` block, written
-out as ``KEY = VALUE`` lines, reproduces the run bit for bit.
+130 interrupted by Ctrl-C, 143 terminated by SIGTERM.  Every run directory
+receives a ``manifest.json`` (written atomically before any result file) whose
+``config`` block, written out as ``KEY = VALUE`` lines, reproduces the run bit
+for bit.
 """
 
 import argparse
@@ -214,6 +215,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"clockspin: I/O failure: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        # the pool and the result files are already cleaned up, as for SIGTERM
+        print("clockspin: interrupted", file=sys.stderr)
+        return 130
     finally:
         signal.signal(signal.SIGTERM, previous)
 

@@ -22,14 +22,17 @@ Projecting onto the d/2 up-electron rows first makes each tau point cost d^3
 complex flops (two d/2 x d x d products) for the d = 2 * 2**N block; the
 identity is exact, not an approximation.
 
-The tau points are evolved in chunks of ``max(16, 8192 // (d/2 * d))``, so each
-chunk's ``(nt d/2 x d)`` GEMM operand holds about 8192 complex entries
-(128 KiB): 1024, 256 and 64 points at d = 4, 8 and 16, which spreads the
-per-chunk Python overhead of a small bath over many points.  The floor of 16
-points from d = 32 on keeps large baths at the chunk they always had, where
-the GEMMs already run near the BLAS peak and a longer chunk only adds memory.
-On one BLAS thread the echo's bits do not depend on the chunk length (the
-tests check N = 1 to 5).
+The tau points are evolved in chunks of ``max(2, 8192 // (d/2 * d))`` points,
+sized by the bytes of the chunk's ``(nt d/2 x d)`` GEMM operand: about 8192
+complex entries (128 KiB), so 1024, 256, 64, 16 and 4 points at d = 4, 8, 16,
+32 and 64, which spreads the per-chunk Python overhead of a small bath over
+many points.  From d = 128 on the floor of 2 points applies: there a longer
+chunk is no faster (on one BLAS thread, N = 5 to 7) and only adds memory, as
+the kernel holds three chunk operands at once.  The grid is split into
+near-equal chunks at least that long, so no chunk holds a single point unless
+the grid does: ``einsum`` sums a one-row operand in another order, which from
+N = 6 on changes the last bits.  Otherwise, on one BLAS thread, the echo's bits
+do not depend on the chunk length (the tests check N = 1 to 7).
 
 ``field_sweep`` maps its jobs once, in one forked pool on one BLAS thread.  A
 field is one job if its kernel work ``n_realizations * n_tau * d^3`` (complex
@@ -189,7 +192,7 @@ def _block_pulse(phi: float, nb: int) -> np.ndarray:
 
 def _tau_chunk(d: int) -> int:
     """Tau points per kernel chunk for a d-dimensional block (module docstring)."""
-    return max(16, 8192 // (d // 2 * d))
+    return max(2, 8192 // (d // 2 * d))
 
 
 def _echo_block_engine(params, bath, seq, tau):
@@ -212,20 +215,22 @@ def _echo_block_engine(params, bath, seq, tau):
     # Half-rank identity (module docstring), with D = diag(exp(-i 2 pi f tau)):
     #   echo = 2 ||V_up D P_pi D L||_F^2 - sum(w),  Pi_up = V_up^dag V_up.
     # V_up has d/2 rows, so each tau chunk costs two (nt * d/2 x d) @ (d x d)
-    # GEMMs: d^3 complex flops per tau point.  A chunk's GEMM operand holds
-    # about 8192 entries, and never fewer than 16 tau points (_tau_chunk).
+    # GEMMs: d^3 complex flops per tau point.  Chunks are sized by the bytes
+    # of their GEMM operand, and none holds a single tau point unless the grid
+    # does (_tau_chunk, module docstring).
     v_up = v2[:nb, :]
     l_half = p_half * np.sqrt(w2)
     intensity = np.empty(tau.size)
-    chunk = _tau_chunk(d)
-    for start in range(0, tau.size, chunk):
-        ts = tau[start:start + chunk]
+    n_chunks = max(1, tau.size // _tau_chunk(d))
+    bounds = [tau.size * k // n_chunks for k in range(n_chunks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        ts = tau[start:stop]
         nt = ts.size
         u = np.exp(-2j * np.pi * np.outer(ts, f2))[:, None, :]    # (nt, 1, d)
         x = (v_up[None, :, :] * u).reshape(nt * nb, d) @ p_pi       # GEMM 1
         x = (x.reshape(nt, nb, d) * u).reshape(nt * nb, d) @ l_half  # GEMM 2
         x = x.view(float).reshape(nt, -1)
-        intensity[start:start + nt] = 2.0 * np.einsum("tk,tk->t", x, x)
+        intensity[start:stop] = 2.0 * np.einsum("tk,tk->t", x, x)
     intensity -= w2.sum()
     return intensity, phi_half, phi_pi
 

@@ -463,10 +463,12 @@ class TestSweepCommand:
         monkeypatch.setattr(dynamics, "_FIELD_JOB_WORK", 0)     # one job per realization
         _check_failed_fit_stops_the_pool(tmp_path, n2_config, monkeypatch)
 
-    @pytest.mark.parametrize("stop", [SystemExit(143), KeyboardInterrupt()],
-                             ids=["sigterm", "ctrl_c"])
-    def test_stop_while_submitting_cancels_the_submitted_jobs(self, tmp_path, n2_config,
-                                                              monkeypatch, stop):
+    @pytest.mark.parametrize("stop, code, err", [
+        (SystemExit(143), 143, ""),
+        (KeyboardInterrupt(), 130, "clockspin: interrupted\n"),
+    ], ids=["sigterm", "ctrl_c"])
+    def test_stop_while_submitting_cancels_the_submitted_jobs(self, tmp_path, n2_config, capsys,
+                                                              monkeypatch, stop, code, err):
         # A signal that lands in Executor.map's submit loop leaves map before
         # its iterator exists; the pool must still cancel what it was given.
         monkeypatch.setattr(dynamics, "_FIELD_JOB_WORK", 0)     # 42 per-realization jobs
@@ -491,9 +493,13 @@ class TestSweepCommand:
         monkeypatch.setattr(bath, "sample_bath", counted)
         monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_stop)
         out = tmp_path / "s"
-        with pytest.raises(type(stop)):
-            main(["sweep", "--config", str(n2_config), "--out", str(out), "--jobs", "2",
-                  "--start-mT", "-10", "--stop-mT", "10", "--step-mT", "1"])
+        try:
+            returned = main(["sweep", "--config", str(n2_config), "--out", str(out), "--jobs", "2",
+                             "--start-mT", "-10", "--stop-mT", "10", "--step-mT", "1"])
+        except SystemExit as exc:   # SIGTERM's handler exits; Ctrl-C returns
+            returned = exc.code
+        assert returned == code
+        assert capsys.readouterr().err == err
         assert len(submitted) == 30
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
         # only the 2 running jobs and the 3 in the pool's call queue may run; 10 leaves slack

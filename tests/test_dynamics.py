@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from clockspin import constants, dynamics
+from clockspin import constants, dynamics, hamiltonian
 from clockspin.bath import BathRealization, BathSpec, sample_bath
 from clockspin.dynamics import (
     SequenceConfig,
@@ -309,21 +310,46 @@ class TestHahnEcho:
 
 class TestTauChunk:
     def test_rule_values(self):
-        # about 8192 entries per (nt * d/2 x d) GEMM operand, never below 16 points
-        assert [dynamics._tau_chunk(d) for d in (4, 8, 16, 32, 256)] == [1024, 256, 64, 16, 16]
+        # about 8192 entries per (nt * d/2 x d) GEMM operand, never below 2 points
+        assert [dynamics._tau_chunk(d) for d in (4, 8, 16, 32, 64, 128, 256)] == [
+            1024, 256, 64, 16, 4, 2, 2]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_chunk_length_keeps_bits(self, monkeypatch, n):
-        # 1000 tau points: one short chunk at N = 1, a short last chunk from N = 2 on
+        # 1000 tau points up to N = 5; 65 at N = 6 and 7, which fixed-length
+        # chunks of 16 would end in a one-point chunk
         p = ModelParams().at_detuning(2e-3)
         bath = sample_bath(BathSpec(n_nuclei=n), 0)
-        seq = SequenceConfig()
+        seq = SequenceConfig(tau_max=100e-6 if n <= 5 else 6.5e-6)
         tau = seq.tau_grid()
         with dynamics._single_threaded_blas():     # as every sweep runs the kernel
             ruled, _, _ = dynamics._echo_block_engine(p, bath, seq, tau)
-            monkeypatch.setattr(dynamics, "_tau_chunk", lambda d: 16)
-            fixed, _, _ = dynamics._echo_block_engine(p, bath, seq, tau)
-        assert np.array_equal(ruled, fixed)
+            for chunk in (3, 16):
+                monkeypatch.setattr(dynamics, "_tau_chunk", lambda d: chunk)
+                fixed, _, _ = dynamics._echo_block_engine(p, bath, seq, tau)
+                assert np.array_equal(ruled, fixed), chunk
+
+    def test_kernel_working_set(self):
+        # At N = 6 (d = 128) a chunk holds 2 tau points, so a (2 d/2 x d) chunk
+        # operand is d^2 complex entries.  The kernel holds the set-up matrices
+        # h2, v2, p_half, p_pi and l_half (d x d) and h0 (d/2 x d/2), and at
+        # most three chunk operands at once: GEMM 1's output, the product fed
+        # to GEMM 2 and GEMM 2's output.  One d^2 more covers the vectors and
+        # numpy's buffers.
+        n = 6
+        d = 2 * 2**n
+        p = ModelParams().at_detuning(2e-3)
+        bath = sample_bath(BathSpec(n_nuclei=n), 0)
+        seq = SequenceConfig(tau_max=10e-6)
+        hamiltonian.block_hamiltonians(p, bath)    # fills the shared bath-operator cache
+        tracemalloc.start()
+        try:
+            with dynamics._single_threaded_blas():
+                dynamics._echo_block_engine(p, bath, seq, seq.tau_grid())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (5 + 0.25 + 3 + 1) * d * d * 16
 
 
 def _blas_thread_counts():
