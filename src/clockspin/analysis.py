@@ -19,6 +19,7 @@ NO_DECAY_FACTOR = 10.0          # sentinel: T_m >= 10x the observation window
 FLAT_RANGE_TOL = 1e-10          # relative range below which a trace is constant
 LOWPASS_HZ = 12e6               # spectra: low-pass guard, bins above it are zeroed
 PEAK_THRESHOLD = 0.1            # peaks: above this fraction of the band maximum
+MIN_FIT_POINTS = 20             # fewest trace points a decay fit accepts
 
 
 @dataclass
@@ -45,13 +46,22 @@ class DecayFit:
         return self.baseline + self.i0 * np.exp(-((t / self.t_m) ** self.exponent))
 
 
-def _boxcar_smooth(trace: EchoTrace, smooth_hz: float) -> EchoTrace:
-    """Moving average over one period of ``smooth_hz``, edges trimmed."""
-    dt = trace.tau[1] - trace.tau[0]
-    width = max(1, int(round(1.0 / (smooth_hz * dt))))
+def _boxcar_width(tau: np.ndarray, smooth_hz: float) -> int:
+    """Odd moving-average width over one period of ``smooth_hz`` on the grid
+    ``tau``, or 0 where the trace stays as it is: a width of 1, or a grid too
+    short to trim that width from each end."""
+    if tau.size < 2:
+        return 0
+    width = max(1, int(round(1.0 / (smooth_hz * (tau[1] - tau[0])))))
     if width % 2 == 0:
         width += 1
-    if width <= 1 or 2 * width >= trace.tau.size:
+    return width if 1 < width and 2 * width < tau.size else 0
+
+
+def _boxcar_smooth(trace: EchoTrace, smooth_hz: float) -> EchoTrace:
+    """Moving average over one period of ``smooth_hz``, edges trimmed."""
+    width = _boxcar_width(trace.tau, smooth_hz)
+    if not width:
         return trace
     kernel = np.ones(width) / width
     sm = np.convolve(trace.intensity, kernel, mode="same")
@@ -83,8 +93,8 @@ def fit_decay(trace: EchoTrace, baseline: bool = False,
         trace = _boxcar_smooth(trace, smooth_hz)
     t = trace.times
     y = trace.intensity
-    if t.size < 20:
-        raise ValueError("need at least 20 points to fit a decay")
+    if t.size < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a decay")
     window = float(t[-1])
     scale = max(np.max(np.abs(y)), 1e-300)
     if (np.max(y) - np.min(y)) < FLAT_RANGE_TOL * scale:
@@ -209,6 +219,19 @@ def find_peaks(spec: Spectrum, threshold_fraction: float = PEAK_THRESHOLD,
         peaks.append(Peak(freq=float(freq), amplitude=float(height)))
     peaks.sort(key=lambda p: p.freq)
     return peaks
+
+
+def check_fit_grid(tau: np.ndarray, nu_h: float) -> None:
+    """Refuse a delay grid on which ``analyze(trace, nu_h)`` cannot fit the decay.
+
+    Raises:
+        ValueError: if the smoothed, trimmed grid keeps fewer than
+            ``MIN_FIT_POINTS`` points.
+    """
+    kept = tau.size - 2 * (_boxcar_width(tau, nu_h) if nu_h > 0 else 0)
+    if kept < MIN_FIT_POINTS:
+        raise ValueError(f"the tau grid leaves {kept} points to fit at proton frequency "
+                         f"{nu_h * 1e-6:.4g} MHz, fewer than {MIN_FIT_POINTS}")
 
 
 def analyze(trace: EchoTrace, nu_h: float):

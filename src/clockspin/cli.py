@@ -92,9 +92,17 @@ def _field_job(cfg, db_mt, trace_csv, trace_json, spectrum_csv, trace):
     return params.B0, fit, peaks, spec.bin_width
 
 
+def _check_fields(cfg, grid_mt):
+    """Refuse, before the run, a non-finite field or a tau grid too short to
+    fit the decay at one of the fields."""
+    tau = cfg.sequence.tau_grid()
+    for db_mt in grid_mt:
+        analysis.check_fit_grid(tau, cfg.model.at_detuning(db_mt * 1e-3).proton_larmor())
+
+
 def cmd_echo(args) -> int:
     cfg = _load_run_config(args)
-    cfg.model.at_detuning(cfg.detuning_mt * 1e-3)   # refuses a non-finite field before the run
+    _check_fields(cfg, [cfg.detuning_mt])
     cfg.jobs = dynamics.worker_count(cfg.jobs, cfg.bath.n_realizations)
     with _run_directory(cfg, "echo", detuning_mT=cfg.detuning_mt) as result:
         (avg,) = dynamics.field_sweep(cfg.model, cfg.bath, cfg.sequence,
@@ -120,6 +128,7 @@ def cmd_echo(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
     grid_mt = cfg.detuning_grid_mt()
+    _check_fields(cfg, grid_mt)
     cfg.jobs = dynamics.worker_count(cfg.jobs, grid_mt.size * cfg.bath.n_realizations)
     with _run_directory(cfg, "sweep", detuning_grid_mT=[float(x) for x in grid_mt]) as result:
         # field_sweep writes and analyses each field as soon as its average

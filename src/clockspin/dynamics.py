@@ -18,26 +18,46 @@ On that block Sz = 2 Pi_up - 1 and the trace of rho is conserved, so the echo
 is ``2 ||V_up D P_pi D L||_F^2 - sum(w)``, with D the diagonal delay
 propagator in the eigenbasis, V_up the up-electron rows of the eigenvectors
 and ``L = P_half diag(sqrt(w))`` a square root of the post-pulse state.
-Projecting onto the d/2 up-electron rows first makes each tau point cost d^3
-complex flops (two d/2 x d x d products) for the d = 2 * 2**N block; the
-identity is exact, not an approximation.
+Projecting onto the d/2 up-electron rows first leaves two d/2 x d x d
+products per tau point for the d = 2 * 2**N block; the identity is exact, not
+an approximation.
+
+The engine works in a real frame.  Only the pseudosecular term
+``a_psc (Ix + Iy)`` makes the block complex; rotating every nuclear frame by
+pi/4 about z, ``R = 1 (x) exp(-i pi/4 sum_k Iz^k)``, maps ``Ix + Iy`` to
+``sqrt(2) Ix`` and leaves Iz, the pair operator, Sz, ``E sigma_x`` and both
+pulses as they are, so ``R^dag h2 R`` is real.  R is diagonal, so the rotated
+V_up is ``R^dag V_up`` up to column phases, and the unitary left factor drops
+out of the Frobenius norm: the echo is unchanged, exactly.  The rotated
+matrix's imaginary part is roundoff (below 1e-16 of its largest entry) and is
+set to zero; the complex Hermitian solver of ``hamiltonian.eigensolve``
+(zheevd) then returns exactly real eigenvectors.  It is the complex solver on
+purpose: the real-symmetric one (dsyevd) is less accurate over a 100 us
+window (worst error 0.047 of the numerical floor, against 0.028), and the real
+parts of complex eigenvectors need not be eigenvectors where the bath is
+exactly degenerate.  So V_up, P_pi and L are real, and only the delay phases D are
+complex.  The kernel evaluates the norm transposed,
+``||L^T D P_pi^T D V_up^T||_F``, on ``(d x nt d/2)`` complex chunk operands:
+a real d x d matrix multiplies such an operand as one real GEMM on its float64
+view, without copies.  Each tau point costs 2 d^3 real multiply-adds, half the
+4 d^3 of the same two products on complex matrices.
 
 The tau points are evolved in chunks of ``max(2, 8192 // (d/2 * d))`` points,
-sized by the bytes of the chunk's ``(nt d/2 x d)`` GEMM operand: about 8192
+sized by the bytes of the chunk's ``(d x nt d/2)`` GEMM operand: about 8192
 complex entries (128 KiB), so 1024, 256, 64, 16 and 4 points at d = 4, 8, 16,
 32 and 64, which spreads the per-chunk Python overhead of a small bath over
 many points.  From d = 128 on the floor of 2 points applies: there a longer
 chunk is no faster (on one BLAS thread, N = 5 to 7) and only adds memory, as
-the kernel holds three chunk operands at once.  The grid is split into
+the kernel holds two chunk operands at once.  The grid is split into
 near-equal chunks at least that long, so no chunk holds a single point unless
 the grid does: ``einsum`` sums a one-row operand in another order, which from
 N = 6 on changes the last bits.  Otherwise, on one BLAS thread, the echo's bits
 do not depend on the chunk length (the tests check N = 1 to 7).
 
 ``field_sweep`` maps its jobs once, in one forked pool on one BLAS thread.  A
-field is one job if its kernel work ``n_realizations * n_tau * d^3`` (complex
-multiply-adds) is at most 2^30 (N <= 4 at 10 x 1000) and the sweep has at
-least as many fields as workers; that job runs the traces, their average and
+field is one job if its kernel work ``n_realizations * n_tau * d^3`` (real
+multiply-adds, half of what the kernel does) is at most 2^30 (N <= 4 at
+10 x 1000) and the sweep has at least as many fields as workers; that job runs the traces, their average and
 the field's ``finish`` and returns what ``finish`` returns.  Otherwise (a
 costly field, or an echo on two workers) each realization is one job; the
 caller averages and finishes each field as soon as its realizations are back,
@@ -58,11 +78,11 @@ from . import __version__ as _pkg_version
 from . import bath as bath_mod
 from . import constants, hamiltonian, spinops
 from .echotrace import EchoTrace
-from .errors import CalibrationError
+from .errors import CalibrationError, ClockspinError
 from .hamiltonian import ModelParams
 
 _MAX_GRID_POINTS = 1_000_000     # largest tau or field grid clockspin builds
-_FIELD_JOB_WORK = 2**30          # kernel work up to which one job runs a whole field
+_FIELD_JOB_WORK = 2**30          # n_realizations * n_tau * d^3 up to which one job runs a field
 
 # Thread-count setters an OpenBLAS build may export, by symbol suffix and
 # vendor prefix (numpy and scipy wheels each bundle a prefixed copy).
@@ -92,8 +112,8 @@ class SequenceConfig:
             raise ValueError("tau_step must be positive and finite")
         if not np.isfinite(self.tau_max):
             raise ValueError("tau_max must be finite")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be positive and finite")
         steps = self.tau_max / self.tau_step
         if not (np.isfinite(steps) and 1 <= round(steps) <= _MAX_GRID_POINTS):
             raise ValueError(f"tau_max / tau_step must give 1 to {_MAX_GRID_POINTS} tau points")
@@ -185,9 +205,22 @@ def _trace_meta(params, bath, seq, phi_half, phi_pi):
 
 
 def _block_pulse(phi: float, nb: int) -> np.ndarray:
-    """Pulse restricted to the {up,down} block: exp[i phi sigma_y / 2] (x) 1."""
+    """Pulse restricted to the {up,down} block: exp[i phi sigma_y / 2] (x) 1, a real matrix."""
     c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    return np.kron(np.array([[c, s], [-s, c]], dtype=complex), np.eye(nb, dtype=complex))
+    return np.kron(np.array([[c, s], [-s, c]]), np.eye(nb))
+
+
+def _real_frame(n: int) -> np.ndarray:
+    """Diagonal of ``R = 1 (x) exp(-i pi/4 sum_k Iz^k)`` on the {up,down} (x) bath
+    block of ``n`` nuclei (module docstring).
+
+    Site 0 is the most significant bit and m = +1/2 comes first, as in
+    ``spinops.embed_bath``.
+    """
+    m = np.zeros(1)
+    for _ in range(n):
+        m = np.add.outer(m, [0.5, -0.5]).ravel()
+    return np.tile(np.exp(-0.25j * np.pi * m), 2)
 
 
 def _tau_chunk(d: int) -> int:
@@ -199,7 +232,14 @@ def _echo_block_engine(params, bath, seq, tau):
     h2, h0 = hamiltonian.block_hamiltonians(params, bath)
     nb = h0.shape[0]
     d = 2 * nb
+    r = _real_frame(bath.n_nuclei if bath is not None else 0)     # h2 -> R^dag h2 R
+    h2 *= r.conj()[:, None]
+    h2 *= r
+    h2.imag = 0.0
     f2, v2 = hamiltonian.eigensolve(h2)
+    if np.any(v2.imag):
+        raise ClockspinError("the eigenvectors of the real-frame block are not real")
+    v2 = np.ascontiguousarray(v2.real)
     e0 = np.linalg.eigvalsh(h0)
 
     beta_h = constants.PLANCK / (constants.KBOLTZ * seq.temperature)
@@ -209,28 +249,32 @@ def _echo_block_engine(params, bath, seq, tau):
     w2 /= z_total
 
     phi_half, phi_pi = _resolved_angles(params, seq)
-    p_half = v2.conj().T @ _block_pulse(phi_half, nb) @ v2
-    p_pi = v2.conj().T @ _block_pulse(phi_pi, nb) @ v2
+    p_half = v2.T @ _block_pulse(phi_half, nb) @ v2
+    p_pi = v2.T @ _block_pulse(phi_pi, nb) @ v2
 
     # Half-rank identity (module docstring), with D = diag(exp(-i 2 pi f tau)):
-    #   echo = 2 ||V_up D P_pi D L||_F^2 - sum(w),  Pi_up = V_up^dag V_up.
-    # V_up has d/2 rows, so each tau chunk costs two (nt * d/2 x d) @ (d x d)
-    # GEMMs: d^3 complex flops per tau point.  Chunks are sized by the bytes
-    # of their GEMM operand, and none holds a single tau point unless the grid
-    # does (_tau_chunk, module docstring).
-    v_up = v2[:nb, :]
-    l_half = p_half * np.sqrt(w2)
+    #   echo = 2 ||V_up D P_pi D L||_F^2 - sum(w),  Pi_up = V_up^T V_up,
+    # evaluated transposed, as ||L^T D P_pi^T D V_up^T||_F^2.  Every matrix but
+    # D is real, and a chunk's operand x is (d x nt d/2) complex, so each
+    # product is one real (d x d) @ (d x nt d) GEMM on x's float64 view: 2 d^3
+    # real multiply-adds per tau point.  Chunks are sized by the bytes of that
+    # operand, and none holds a single tau point unless the grid does
+    # (_tau_chunk, module docstring).
+    v_up_t = np.ascontiguousarray(v2[:nb, :].T)[:, None, :]         # (d, 1, d/2)
+    l_t = (p_half * np.sqrt(w2)).T
+    p_pi_t = p_pi.T
     intensity = np.empty(tau.size)
     n_chunks = max(1, tau.size // _tau_chunk(d))
     bounds = [tau.size * k // n_chunks for k in range(n_chunks + 1)]
     for start, stop in zip(bounds, bounds[1:]):
         ts = tau[start:stop]
         nt = ts.size
-        u = np.exp(-2j * np.pi * np.outer(ts, f2))[:, None, :]    # (nt, 1, d)
-        x = (v_up[None, :, :] * u).reshape(nt * nb, d) @ p_pi       # GEMM 1
-        x = (x.reshape(nt, nb, d) * u).reshape(nt * nb, d) @ l_half  # GEMM 2
-        x = x.view(float).reshape(nt, -1)
-        intensity[start:stop] = 2.0 * np.einsum("tk,tk->t", x, x)
+        u = np.exp(-2j * np.pi * np.outer(f2, ts))[:, :, None]     # (d, nt, 1)
+        x = (u * v_up_t).reshape(d, -1).view(float)
+        x = (p_pi_t @ x).view(complex).reshape(d, nt, nb)           # GEMM 1
+        x *= u
+        x = (l_t @ x.reshape(d, -1).view(float)).reshape(d, nt, d)  # GEMM 2
+        intensity[start:stop] = 2.0 * np.einsum("ktj,ktj->t", x, x)
     intensity -= w2.sum()
     return intensity, phi_half, phi_pi
 

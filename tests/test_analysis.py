@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from clockspin.analysis import (
+    MIN_FIT_POINTS,
     Peak,
     analyze,
+    check_fit_grid,
     effective_hyperfine,
     find_peaks,
     fit_decay,
@@ -65,6 +67,20 @@ class TestFitDecay:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_decay(trace_from_t(np.ones(5)))
+
+    @pytest.mark.parametrize("nu_h", [0.0, 0.8e6, 1.0e6, 1.2e6])
+    def test_grid_check_agrees_with_the_fit(self, nu_h):
+        # the fit of analyze() sees the grid smoothed over one proton period
+        # and trimmed by that width at each end, if the grid is long enough
+        for n in range(1, 60):
+            trace = trace_from_t(stretched(2e-7 * np.arange(1, n + 1), 1.0, 2e-6, 1.0))
+            try:
+                check_fit_grid(trace.tau, nu_h)
+            except ValueError:
+                with pytest.raises(ValueError, match=f"at least {MIN_FIT_POINTS} points"):
+                    fit_decay(trace, baseline=True, smooth_hz=nu_h or None)
+            else:
+                fit_decay(trace, baseline=True, smooth_hz=nu_h or None)
 
 
 class TestSubtractBackground:

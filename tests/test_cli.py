@@ -181,6 +181,8 @@ class TestInputContract:
         "gamma_H_MHz_per_T = nan",
         "tau_step_us = 1e-6",       # 1e8 tau points, over the limit of one million
         "tau_max_us = 0.01",        # no tau point at the n1 step of 0.025 us
+        "temperature_K = nan",
+        "temperature_K = inf",
         "tau_step_us = abc",
         "D_GHz = 1e999999",         # overflows the decimal shift to Hz
         "bath_N = 1.5",
@@ -199,6 +201,23 @@ class TestInputContract:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("clockspin: usage error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["echo", "sweep"])
+    @pytest.mark.parametrize("tau_max_us", [
+        "1",        # 10 tau points
+        "3",        # 30 tau points, 4 to 12 once smoothed over one proton period
+    ])
+    def test_tau_grid_too_short_to_fit_is_usage_error(self, tmp_path, capsys, command,
+                                                      tau_max_us):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(N2_CONFIG + f"tau_step_us = 0.1\ntau_max_us = {tau_max_us}\n")
+        out = tmp_path / "short"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("clockspin: usage error: the tau grid leaves ")
+        assert err[0].endswith(f"fewer than {analysis.MIN_FIT_POINTS}")
         assert not out.exists()
 
     def test_unreadable_config_is_io_failure(self, tmp_path, capsys):

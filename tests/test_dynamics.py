@@ -17,7 +17,7 @@ from clockspin.dynamics import (
     field_sweep,
     hahn_echo_trace,
 )
-from clockspin.errors import CalibrationError
+from clockspin.errors import CalibrationError, ClockspinError
 from clockspin.hamiltonian import ModelParams, build_electronic, eigensolve
 from clockspin.spinops import spin1_generators
 from clockspin.validate import reference_echo, reference_hamiltonian
@@ -35,6 +35,14 @@ def two_protons():
         a_sc=np.array([1e6, 1.3e6]), a_psc=np.array([0.5e6, 0.65e6]),
         theta=np.array([[0.0, 0.4], [0.4, 0.0]]), d_pair=10e3,
     )
+
+
+def degenerate_bath(n):
+    """Equal couplings and no pair term: exactly degenerate bath levels, where
+    the real part of rotated complex eigenvectors, phases fixed, misses the
+    reference by about 0.1 at N = 3."""
+    return BathRealization(a_sc=np.full(n, 1e6), a_psc=np.full(n, 0.5e6),
+                           theta=np.zeros((n, n)), d_pair=0.0)
 
 
 def n5_bath():
@@ -266,6 +274,9 @@ class TestHahnEcho:
         (n5_bath, -2e-3),
         (n7_bath, 2e-3),
         (n7_bath, -2e-3),
+        pytest.param(functools.partial(degenerate_bath, 2), 0.0, id="degenerate_n2-0.0"),
+        pytest.param(functools.partial(degenerate_bath, 3), 0.0, id="degenerate_n3-0.0"),
+        pytest.param(functools.partial(degenerate_bath, 3), -2e-3, id="degenerate_n3--0.002"),
     ])
     def test_block_engine_matches_full_reference(self, bath_fn, detuning):
         seq = SequenceConfig(tau_step=200e-9, tau_max=10e-6)
@@ -308,6 +319,45 @@ class TestHahnEcho:
             hahn_echo_trace(ModelParams(), None, SequenceConfig(), method="full")
 
 
+_COUPLING = st.floats(-10e6, 10e6, allow_subnormal=False)
+
+
+@st.composite
+def drawn_baths(draw):
+    """A bath of 1 to 4 protons with arbitrary couplings and pair angles."""
+    n = draw(st.integers(1, 4))
+    theta = np.zeros((n, n))
+    for m in range(n):
+        for k in range(m + 1, n):
+            theta[m, k] = theta[k, m] = draw(st.floats(0.0, np.pi))
+    return BathRealization(a_sc=np.array(draw(st.lists(_COUPLING, min_size=n, max_size=n))),
+                           a_psc=np.array(draw(st.lists(_COUPLING, min_size=n, max_size=n))),
+                           theta=theta, d_pair=draw(st.floats(0.0, 100e3)))
+
+
+class TestRealFrame:
+    @settings(max_examples=60, deadline=None)
+    @given(bath=drawn_baths(), detuning=st.floats(-20e-3, 20e-3))
+    def test_rotated_block_and_its_eigenvectors_are_real(self, bath, detuning):
+        h2, _ = hamiltonian.block_hamiltonians(ModelParams().at_detuning(detuning), bath)
+        r = dynamics._real_frame(bath.n_nuclei)
+        rotated = r.conj()[:, None] * h2 * r
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(rotated.imag)) <= 2 * eps * np.max(np.abs(h2))
+        # the complex solver on the real-valued matrix returns real eigenvectors
+        _, vecs = eigensolve(rotated.real.astype(complex))
+        assert not np.any(vecs.imag)
+
+    def test_complex_eigenvectors_are_refused(self, monkeypatch):
+        def rephased(h):
+            vals, vecs = eigensolve(h)
+            return vals, 1j * vecs
+
+        monkeypatch.setattr(hamiltonian, "eigensolve", rephased)
+        with pytest.raises(ClockspinError, match="not real"):
+            hahn_echo_trace(ModelParams(), two_protons(), SequenceConfig(tau_max=2e-6))
+
+
 class TestTauChunk:
     def test_rule_values(self):
         # about 8192 entries per (nt * d/2 x d) GEMM operand, never below 2 points
@@ -330,12 +380,13 @@ class TestTauChunk:
                 assert np.array_equal(ruled, fixed), chunk
 
     def test_kernel_working_set(self):
-        # At N = 6 (d = 128) a chunk holds 2 tau points, so a (2 d/2 x d) chunk
-        # operand is d^2 complex entries.  The kernel holds the set-up matrices
-        # h2, v2, p_half, p_pi and l_half (d x d) and h0 (d/2 x d/2), and at
-        # most three chunk operands at once: GEMM 1's output, the product fed
-        # to GEMM 2 and GEMM 2's output.  One d^2 more covers the vectors and
-        # numpy's buffers.
+        # At N = 6 (d = 128) a chunk holds 2 tau points, so a (d x 2 d/2) chunk
+        # operand is d^2 complex entries.  The bound allows five complex d x d
+        # set-up matrices, h0 (d/2 x d/2), three chunk operands and one d^2
+        # more for the vectors and numpy's buffers.  The real-frame kernel
+        # needs less: of its set-up matrices only h2 and v2 are complex
+        # (p_half, p_pi and l_half are real), and it holds at most two chunk
+        # operands at once, a GEMM's input and its output.
         n = 6
         d = 2 * 2**n
         p = ModelParams().at_detuning(2e-3)
