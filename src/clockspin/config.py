@@ -14,7 +14,7 @@ from decimal import Decimal
 import numpy as np
 
 from .bath import BathSpec
-from .dynamics import _MAX_GRID_POINTS, SequenceConfig
+from .dynamics import _MAX_GRID_POINTS, SequenceConfig, _whole_steps
 from .hamiltonian import ModelParams
 
 
@@ -78,7 +78,8 @@ class RunConfig:
         """``{name}_start_mt`` to ``{name}_stop_mt`` in whole ``{name}_step_mt`` steps.
 
         A grid has at most ``_MAX_GRID_POINTS`` (one million) points; a longer
-        or non-finite one is refused before it is built.
+        or non-finite one, or one that is not a whole number of steps, is
+        refused before it is built.
         """
         start, stop, step = (getattr(self, f"{name}_{k}_mt") for k in ("start", "stop", "step"))
         if not (np.isfinite(start) and np.isfinite(stop)):
@@ -88,7 +89,7 @@ class RunConfig:
         steps = (stop - start) / step
         if not np.isfinite(steps):
             raise ValueError(f"{name} range has no finite number of steps")
-        n = int(round(steps))
+        n = _whole_steps(steps, f"{name} range")
         if n < 0:
             raise ValueError(f"{name} range is empty")
         if n + 1 > _MAX_GRID_POINTS:

@@ -22,25 +22,22 @@ Projecting onto the d/2 up-electron rows first leaves two d/2 x d x d
 products per tau point for the d = 2 * 2**N block; the identity is exact, not
 an approximation.
 
-The engine works in a real frame.  Only the pseudosecular term
-``a_psc (Ix + Iy)`` makes the block complex; rotating every nuclear frame by
-pi/4 about z, ``R = 1 (x) exp(-i pi/4 sum_k Iz^k)``, maps ``Ix + Iy`` to
-``sqrt(2) Ix`` and leaves Iz, the pair operator, Sz, ``E sigma_x`` and both
-pulses as they are, so ``R^dag h2 R`` is real.  R is diagonal, so the rotated
-V_up is ``R^dag V_up`` up to column phases, and the unitary left factor drops
-out of the Frobenius norm: the echo is unchanged, exactly.  The rotated
-matrix's imaginary part is roundoff (below 1e-16 of its largest entry) and is
-set to zero; the complex Hermitian solver of ``hamiltonian.eigensolve``
-(zheevd) then returns exactly real eigenvectors.  It is the complex solver on
-purpose: the real-symmetric one (dsyevd) is less accurate over a 100 us
-window (worst error 0.047 of the numerical floor, against 0.028), and the real
-parts of complex eigenvectors need not be eigenvectors where the bath is
-exactly degenerate.  So V_up, P_pi and L are real, and only the delay phases D are
-complex.  The kernel evaluates the norm transposed,
-``||L^T D P_pi^T D V_up^T||_F``, on ``(d x nt d/2)`` complex chunk operands:
-a real d x d matrix multiplies such an operand as one real GEMM on its float64
-view, without copies.  Each tau point costs 2 d^3 real multiply-adds, half the
-4 d^3 of the same two products on complex matrices.
+The block comes real from ``hamiltonian.block_hamiltonians``, whose frame
+turns each nuclear spin by pi/4 about z.  That rotation is diagonal and
+commutes with the pulses and Sz, so it changes V_up only by a unitary left
+factor, which drops out of the Frobenius norm: the echo is that of the
+laboratory frame, exactly.  ``hamiltonian.eigensolve`` runs the complex
+Hermitian solver (zheevd) on the real-valued block and returns exactly real
+eigenvectors.  It is the complex solver on purpose: the real-symmetric one
+(dsyevd) is less accurate over a 100 us window (worst error 0.047 of the
+numerical floor, against 0.028), and the real parts of complex eigenvectors
+need not be eigenvectors where the bath is exactly degenerate.  So V_up,
+P_pi and L are real, and only the delay phases D are complex.  The kernel
+evaluates the norm transposed, ``||L^T D P_pi^T D V_up^T||_F``, on
+``(d x nt d/2)`` complex chunk operands: a real d x d matrix multiplies such
+an operand as one real GEMM on its float64 view, without copies.  Each tau
+point costs 2 d^3 real multiply-adds, half the 4 d^3 of the same two products
+on complex matrices.
 
 The tau points are evolved in chunks of ``max(2, 8192 // (d/2 * d))`` points,
 sized by the bytes of the chunk's ``(d x nt d/2)`` GEMM operand: about 8192
@@ -92,6 +89,16 @@ _OPENBLAS_SET_THREADS = (
 )
 
 
+def _whole_steps(steps: float, what: str) -> int:
+    """A grid's finite step count, refused unless it lies within 1e-9 (relative)
+    of a whole number; rounding another would move the grid's end.  Decimal
+    grids land within 5e-13 (1e-4 / 1e-7 is 1000.0000000000001)."""
+    n = round(steps)
+    if abs(steps - n) > 1e-9 * abs(steps):
+        raise ValueError(f"{what} is {steps:.10g} steps, not a whole number")
+    return n
+
+
 @dataclass(frozen=True)
 class SequenceConfig:
     """Hahn-echo sequence settings.
@@ -115,7 +122,7 @@ class SequenceConfig:
         if not (np.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError("temperature must be positive and finite")
         steps = self.tau_max / self.tau_step
-        if not (np.isfinite(steps) and 1 <= round(steps) <= _MAX_GRID_POINTS):
+        if not (np.isfinite(steps) and 1 <= _whole_steps(steps, "tau_max") <= _MAX_GRID_POINTS):
             raise ValueError(f"tau_max / tau_step must give 1 to {_MAX_GRID_POINTS} tau points")
 
     def tau_grid(self) -> np.ndarray:
@@ -210,19 +217,6 @@ def _block_pulse(phi: float, nb: int) -> np.ndarray:
     return np.kron(np.array([[c, s], [-s, c]]), np.eye(nb))
 
 
-def _real_frame(n: int) -> np.ndarray:
-    """Diagonal of ``R = 1 (x) exp(-i pi/4 sum_k Iz^k)`` on the {up,down} (x) bath
-    block of ``n`` nuclei (module docstring).
-
-    Site 0 is the most significant bit and m = +1/2 comes first, as in
-    ``spinops.embed_bath``.
-    """
-    m = np.zeros(1)
-    for _ in range(n):
-        m = np.add.outer(m, [0.5, -0.5]).ravel()
-    return np.tile(np.exp(-0.25j * np.pi * m), 2)
-
-
 def _tau_chunk(d: int) -> int:
     """Tau points per kernel chunk for a d-dimensional block (module docstring)."""
     return max(2, 8192 // (d // 2 * d))
@@ -232,10 +226,6 @@ def _echo_block_engine(params, bath, seq, tau):
     h2, h0 = hamiltonian.block_hamiltonians(params, bath)
     nb = h0.shape[0]
     d = 2 * nb
-    r = _real_frame(bath.n_nuclei if bath is not None else 0)     # h2 -> R^dag h2 R
-    h2 *= r.conj()[:, None]
-    h2 *= r
-    h2.imag = 0.0
     f2, v2 = hamiltonian.eigensolve(h2)
     if np.any(v2.imag):
         raise ClockspinError("the eigenvectors of the real-frame block are not real")

@@ -14,6 +14,12 @@ hyperfine terms (H_SI), and the protons carry their own Zeeman plus pairwise
 dipolar dynamics (H_I).  Nothing in H_tot = H_S + H_SI + H_I couples the
 m_S = 0 sector to {m_S = +-1} (x) bath, so ``block_hamiltonians`` assembles
 H_tot as those two blocks and never forms the full 3 * 2**N matrix.
+
+The {m_S = +-1} block is built in the real frame that the echo engine evolves:
+``R = 1 (x) exp(-i pi/4 sum_k Iz^k)`` turns ``Ix + Iy`` into ``sqrt(2) Ix`` and
+leaves Iz, the pair operator, H_I and every electron operator as they are, so
+the block is real and h0 (H_I plus the m_S = 0 level) is the same in both
+frames.  ``validate.reference_hamiltonian`` stays in the laboratory frame.
 """
 
 import functools
@@ -97,9 +103,9 @@ def _bath_operators(n_nuclei: int):
     """Bath-space operators shared by every realization with ``n_nuclei`` spins.
 
     Returns:
-        ``(ix, iy, iz, pair)``: per-site tuples of the embedded spin-1/2
-        generators, and ``pair[m, n] = 2 Iz Iz - Ix Ix - Iy Iy`` for m < n.
-        The arrays are read-only because every caller shares them.
+        ``(ix, iz, pair)``: per-site tuples of the embedded Ix and Iz, and
+        ``pair[m, n] = 2 Iz Iz - Ix Ix - Iy Iy`` for m < n.  The arrays are
+        read-only because every caller shares them.
     """
     sx, sy, sz = spinops.spin_half_generators()
     ix = tuple(spinops.embed_bath(sx, m, n_nuclei) for m in range(n_nuclei))
@@ -109,9 +115,9 @@ def _bath_operators(n_nuclei: int):
         (m, n): 2.0 * iz[m] @ iz[n] - ix[m] @ ix[n] - iy[m] @ iy[n]
         for m in range(n_nuclei) for n in range(m + 1, n_nuclei)
     }
-    for op in (*ix, *iy, *iz, *pair.values()):
+    for op in (*ix, *iz, *pair.values()):
         op.flags.writeable = False
-    return ix, iy, iz, pair
+    return ix, iz, pair
 
 
 def bath_hamiltonian_matrix(p: ModelParams, bath) -> np.ndarray:
@@ -124,7 +130,7 @@ def bath_hamiltonian_matrix(p: ModelParams, bath) -> np.ndarray:
     electron term).  The pair sum runs over unordered pairs.
     """
     n_nuclei = bath.n_nuclei
-    _, _, iz, pair = _bath_operators(n_nuclei)
+    _, iz, pair = _bath_operators(n_nuclei)
     dim = 2**n_nuclei
     h = np.zeros((dim, dim), dtype=complex)
     for m in range(n_nuclei):
@@ -137,32 +143,33 @@ def bath_hamiltonian_matrix(p: ModelParams, bath) -> np.ndarray:
 
 
 def block_hamiltonians(params: ModelParams, bath):
-    """H_tot on the {up,down} (x) bath block and on the m_S=0 bath block.
+    """H_tot on the {up,down} (x) bath block, in the real frame (module
+    docstring), and on the m_S=0 bath block.
+
+    From ``h_e = build_electronic(params)`` in the (+1, 0, -1) basis:
+    ``h2 = h_e[+-1, +-1] (x) 1 + sigma_z (x) sum_m (A_sc Iz + sqrt(2) A_psc Ix)
+    + 1 (x) H_I`` and ``h0 = h_e[1, 1] + H_I``.  h2 has an imaginary part of
+    exactly zero and keeps the complex dtype for ``eigensolve``.
 
     Returns:
         ``(h2, h0)``: the ``2 * 2**N`` block in the electron-major layout
         ``(up, down) (x) bath`` and the ``2**N`` block of m_S = 0, in Hz.
         ``bath`` may be ``None`` for a bare electron (N = 0).
     """
+    h_e = build_electronic(params)
     n = bath.n_nuclei if bath is not None else 0
     nb = 2**n
-    eye_b = np.eye(nb, dtype=complex)
+    b_op = np.zeros((nb, nb), dtype=complex)
+    h_i = np.zeros((nb, nb), dtype=complex)
     if n:
-        ix, iy, iz, _ = _bath_operators(n)
-        b_op = np.zeros((nb, nb), dtype=complex)
+        ix, iz, _ = _bath_operators(n)
         for m in range(n):
-            b_op += bath.a_sc[m] * iz[m] + bath.a_psc[m] * (ix[m] + iy[m])
+            b_op += bath.a_sc[m] * iz[m] + np.sqrt(2.0) * bath.a_psc[m] * ix[m]
         h_i = bath_hamiltonian_matrix(params, bath)
-    else:
-        b_op = np.zeros((1, 1), dtype=complex)
-        h_i = np.zeros((1, 1), dtype=complex)
-    h2 = (
-        (params.D / 3.0) * np.eye(2 * nb, dtype=complex)
-        + params.E * np.kron(_SIGMA_X, eye_b)
-        + np.kron(_SIGMA_Z, params.gamma_e * params.detuning * eye_b + b_op)
-        + np.kron(np.eye(2, dtype=complex), h_i)
-    )
-    h0 = -(2.0 * params.D / 3.0) * np.eye(nb, dtype=complex) + h_i
+    eye_b = np.eye(nb)
+    h2 = (np.kron(h_e[np.ix_([0, 2], [0, 2])], eye_b) + np.kron(_SIGMA_Z, b_op)
+          + np.kron(np.eye(2), h_i))
+    h0 = h_e[1, 1] * eye_b + h_i
     return h2, h0
 
 

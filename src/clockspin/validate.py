@@ -60,10 +60,10 @@ def echo_line_frequencies(params: ModelParams, bath, nyquist_hz: float) -> np.nd
 def reference_hamiltonian(params: ModelParams, bath) -> np.ndarray:
     """Dense ``H_tot = H_S + H_SI + H_I`` on the full ``C^3 (x) bath`` space (Hz).
 
-    Assembled with ``np.kron`` independently of ``block_hamiltonians``: only
-    H_S and the intra-bath H_I are shared, and the hyperfine term is built
-    here, so the m_S = 0 decoupling the block engine relies on is a property
-    of this matrix, not an assumption of it.
+    Assembled with ``np.kron`` in the laboratory frame, independently of
+    ``block_hamiltonians``: only H_S and the intra-bath H_I are shared, and the
+    hyperfine term is built here, so the m_S = 0 decoupling and the real frame
+    the block engine relies on are checked against this matrix, not assumed.
     """
     n = bath.n_nuclei if bath is not None else 0
     nb = 2**n

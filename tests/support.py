@@ -1,5 +1,5 @@
-"""Test-only helpers: closed-form oracles, a modulation-depth measure and a
-text round trip for bath realizations."""
+"""Test-only helpers: closed-form oracles, the real frame of the +-1 block, a
+modulation-depth measure and a text round trip for bath realizations."""
 
 import json
 
@@ -54,6 +54,25 @@ def ct_curvature(p: ModelParams) -> float:
     the far-field slope 2*gamma_e.
     """
     return 4.0 * p.gamma_e**2 / (2.0 * abs(p.E))
+
+
+def real_frame(h: np.ndarray, n: int) -> np.ndarray:
+    """``R^dag h R`` for ``R = 1 (x) exp(-i pi/4 sum_k Iz^k)`` on the
+    ``(up, down) (x) bath`` block of ``n`` nuclei, the frame of
+    ``hamiltonian.block_hamiltonians``.
+
+    Entry (j, k) is turned by ``exp(i pi/4 s) = (1 + i s) sqrt(1/2)``, with
+    ``s = m_j - m_k`` the change of the bath's total Iz.  No term of H_tot
+    changes it by more than one.  The product is taken in real arithmetic, so
+    that a pseudosecular entry ``a (1 - i s)/2`` comes out exactly real.
+    """
+    m = np.zeros(1)
+    for _ in range(n):
+        m = np.add.outer(m, [0.5, -0.5]).ravel()
+    s = np.subtract.outer(np.tile(m, 2), np.tile(m, 2))
+    assert not np.any(h[np.abs(s) > 1])
+    p, q = h.real, h.imag
+    return np.where(s == 0, h, np.sqrt(0.5) * ((p - s * q) + 1j * (q + s * p)))
 
 
 def modulation_depth(residual: EchoTrace, window, fit: DecayFit) -> float:

@@ -290,6 +290,25 @@ class TestInputContract:
         assert len(err) == 1 and err[0].startswith("clockspin: usage error: out_dir: ")
         assert list(tmp_path.iterdir()) == [n2_config]
 
+    @pytest.mark.parametrize("argv, extra, message", [
+        # rounded, these would sweep 0, 0.5, 1.0 and 1.5 mT, stop at 0.9 mT,
+        # and evolve to tau = 10.2 us
+        (["sweep", "--start-mT", "0", "--stop-mT", "1.3", "--step-mT", "0.5"], "",
+         "detuning range is 2.6 steps, not a whole number"),
+        (["zeeman", "--start-mT", "0", "--stop-mT", "1", "--step-mT", "0.3"], "",
+         "zeeman range is 3.333333333 steps, not a whole number"),
+        (["echo"], "tau_step_us = 0.6\n", "tau_max is 16.66666667 steps, not a whole number"),
+    ], ids=["detuning", "zeeman", "tau"])
+    def test_range_of_no_whole_number_of_steps_is_usage_error(self, tmp_path, capsys, argv,
+                                                              extra, message):
+        cfg = tmp_path / "n2.cfg"
+        cfg.write_text(N2_CONFIG + extra)
+        out = tmp_path / "bad"
+        rc = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"clockspin: usage error: {message}"]
+        assert not out.exists()
+
     def test_grid_at_point_limit_is_built(self):
         cfg = RunConfig(zeeman_start_mt=0.0, zeeman_stop_mt=999_999.0, zeeman_step_mt=1.0)
         assert cfg.zeeman_grid_mt().size == config._MAX_GRID_POINTS == 1_000_000

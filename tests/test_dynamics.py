@@ -21,6 +21,7 @@ from clockspin.errors import CalibrationError, ClockspinError
 from clockspin.hamiltonian import ModelParams, build_electronic, eigensolve
 from clockspin.spinops import spin1_generators
 from clockspin.validate import reference_echo, reference_hamiltonian
+from support import real_frame
 
 
 def single_proton(a_sc=1e6, a_psc=0.5e6):
@@ -339,13 +340,17 @@ class TestRealFrame:
     @settings(max_examples=60, deadline=None)
     @given(bath=drawn_baths(), detuning=st.floats(-20e-3, 20e-3))
     def test_rotated_block_and_its_eigenvectors_are_real(self, bath, detuning):
-        h2, _ = hamiltonian.block_hamiltonians(ModelParams().at_detuning(detuning), bath)
-        r = dynamics._real_frame(bath.n_nuclei)
-        rotated = r.conj()[:, None] * h2 * r
+        p = ModelParams().at_detuning(detuning)
+        h2, _ = hamiltonian.block_hamiltonians(p, bath)
+        assert not np.any(h2.imag)
+        # the laboratory-frame +-1 block of the dense reference, turned
+        nb = 2**bath.n_nuclei
+        pm = np.r_[0:nb, 2 * nb:3 * nb]
+        turned = real_frame(reference_hamiltonian(p, bath)[np.ix_(pm, pm)], bath.n_nuclei)
         eps = np.finfo(float).eps
-        assert np.max(np.abs(rotated.imag)) <= 2 * eps * np.max(np.abs(h2))
+        assert np.max(np.abs(h2 - turned)) <= 2 * eps * np.max(np.abs(h2))
         # the complex solver on the real-valued matrix returns real eigenvectors
-        _, vecs = eigensolve(rotated.real.astype(complex))
+        _, vecs = eigensolve(h2)
         assert not np.any(vecs.imag)
 
     def test_complex_eigenvectors_are_refused(self, monkeypatch):
@@ -381,12 +386,15 @@ class TestTauChunk:
 
     def test_kernel_working_set(self):
         # At N = 6 (d = 128) a chunk holds 2 tau points, so a (d x 2 d/2) chunk
-        # operand is d^2 complex entries.  The bound allows five complex d x d
-        # set-up matrices, h0 (d/2 x d/2), three chunk operands and one d^2
-        # more for the vectors and numpy's buffers.  The real-frame kernel
-        # needs less: of its set-up matrices only h2 and v2 are complex
-        # (p_half, p_pi and l_half are real), and it holds at most two chunk
-        # operands at once, a GEMM's input and its output.
+        # operand is d^2 complex entries.  At the peak the engine holds, in d^2
+        # complex entries (16 d^2 bytes):
+        # - 3.5 of set-up: h2 (complex, 1), h0 (complex, d/2 x d/2, 0.25), the
+        #   real v2, p_half, p_pi and l_t (0.5 each) and v_up_t (d x d/2, 0.25);
+        # - 3 in the chunk loop: the last chunk's result, the next chunk's
+        #   operand u * v_up_t and a d^2 temporary that numpy allocates while
+        #   it broadcasts that product;
+        # - 0.5 for the vectors and small buffers (6.56 in all, measured).
+        # One more complex d x d matrix kept alive exceeds the bound.
         n = 6
         d = 2 * 2**n
         p = ModelParams().at_detuning(2e-3)
@@ -400,7 +408,7 @@ class TestTauChunk:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (5 + 0.25 + 3 + 1) * d * d * 16
+        assert peak <= (3.5 + 3 + 0.5) * d * d * 16
 
 
 def _blas_thread_counts():

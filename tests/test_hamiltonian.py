@@ -15,7 +15,7 @@ from clockspin.hamiltonian import (
 )
 from clockspin.spinops import is_hermitian, spin_half_generators
 from clockspin.validate import reference_hamiltonian
-from support import analytic_doublet_gap, ct_curvature
+from support import analytic_doublet_gap, ct_curvature, real_frame
 
 GHZ = 1e9
 
@@ -28,10 +28,11 @@ def single_proton(a_sc=1e6, a_psc=0.5e6):
 
 
 def hyperfine_part(bath):
-    """Hyperfine term of the +-1 block, isolated without roundoff.
+    """Hyperfine term of the +-1 block, isolated to roundoff of 1 Hz.
 
-    With D/3 = 1 Hz, E = 0 and no field the block is exactly
-    ``1 + sigma_z (x) sum_m (A_sc Iz + A_psc (Ix + Iy))`` for one proton.
+    With D/3 = 1 Hz, E = 0 and no field the block is
+    ``1 + sigma_z (x) sum_m (A_sc Iz + sqrt(2) A_psc Ix)`` for one proton, in
+    the builder's real frame.
     """
     h2, _ = block_hamiltonians(ModelParams(D=3.0, E=0.0, B0=0.0, B_min=0.0), bath)
     return h2 - np.eye(h2.shape[0])
@@ -101,9 +102,10 @@ class TestElectronic:
 class TestHyperfine:
     def test_kronecker_oracle(self):
         # direct Kronecker arithmetic: on the +-1 block Sz -> sigma_z, so the
-        # coupling is sigma_z (x) (A_sc Iz + A_psc (Ix+Iy))
+        # coupling is sigma_z (x) (A_sc Iz + A_psc (Ix+Iy)) in the laboratory
+        # frame, turned into the builder's
         ix, iy, iz = spin_half_generators()
-        oracle = np.kron(np.diag([1.0, -1.0]), 1e6 * iz + 0.5e6 * (ix + iy))
+        oracle = real_frame(np.kron(np.diag([1.0, -1.0]), 1e6 * iz + 0.5e6 * (ix + iy)), 1)
         h = hyperfine_part(single_proton())
         assert np.max(np.abs(h - oracle)) < 1e-12
 
@@ -118,7 +120,8 @@ class TestHyperfine:
 
     def test_ms0_sector_vanishes(self):
         # decoupling: the full H has exact zeros between m_S = 0 and the +-1
-        # sectors, and the builder's blocks are the remaining sub-blocks
+        # sectors, and the builder's blocks are the remaining sub-blocks, the
+        # +-1 one turned into the real frame
         rng = np.random.default_rng(11)
         for n in (1, 2, 3):
             bath = sample_bath(BathSpec(n_nuclei=n, n_realizations=1), 0)
@@ -132,7 +135,7 @@ class TestHyperfine:
             pm_rows = np.r_[0:nb, 2 * nb:3 * nb]
             h2, h0 = block_hamiltonians(p, bath)
             scale = 1e-12 * np.linalg.norm(h)
-            assert np.max(np.abs(h2 - h[np.ix_(pm_rows, pm_rows)])) < scale
+            assert np.max(np.abs(h2 - real_frame(h[np.ix_(pm_rows, pm_rows)], n))) < scale
             assert np.max(np.abs(h0 - h[zero, zero])) < scale
 
     def test_commutes_with_sz_not_with_bath_transverse(self):
@@ -180,8 +183,8 @@ class TestBathHamiltonian:
 
     def test_cached_operators_are_read_only(self):
         # every realization with the same N shares them
-        ix, iy, iz, pair = _bath_operators(2)
-        for op in (*ix, *iy, *iz, pair[0, 1]):
+        ix, iz, pair = _bath_operators(2)
+        for op in (*ix, *iz, pair[0, 1]):
             with pytest.raises(ValueError):
                 op[0, 0] = 1.0
 
