@@ -13,6 +13,11 @@ import numpy as np
 from . import constants
 from .echotrace import EchoTrace
 
+# Largest bath built.  At N = 10 (d = 2048) a trace holds about 6 complex d x d
+# matrices, 384 MiB per worker, and takes on the order of ten minutes; at
+# N = 12 one such matrix is already 1 GiB.
+_MAX_NUCLEI = 10
+
 
 @dataclass(frozen=True)
 class BathSpec:
@@ -31,8 +36,8 @@ class BathSpec:
     seed: int = 1234
 
     def __post_init__(self):
-        if self.n_nuclei < 1:
-            raise ValueError("n_nuclei must be >= 1")
+        if not 1 <= self.n_nuclei <= _MAX_NUCLEI:
+            raise ValueError(f"n_nuclei must lie in [1, {_MAX_NUCLEI}]")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if not 0 <= self.seed < 2**64:

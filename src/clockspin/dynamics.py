@@ -265,6 +265,7 @@ def _echo_block_engine(params, bath, seq, tau):
         x *= u
         x = (l_t @ x.reshape(d, -1).view(float)).reshape(d, nt, d)  # GEMM 2
         intensity[start:stop] = 2.0 * np.einsum("ktj,ktj->t", x, x)
+        del x           # before the next chunk's operand is built
     intensity -= w2.sum()
     return intensity, phi_half, phi_pi
 

@@ -15,6 +15,11 @@ dipolar dynamics (H_I).  Nothing in H_tot = H_S + H_SI + H_I couples the
 m_S = 0 sector to {m_S = +-1} (x) bath, so ``block_hamiltonians`` assembles
 H_tot as those two blocks and never forms the full 3 * 2**N matrix.
 
+Bath basis state j is an Iz product state whose bits are the nuclei, nucleus 0
+the most significant, 0 for Iz = +1/2 and 1 for -1/2.  Iz^m is then diagonal
+and Ix^m is 1/2 between states one bit apart, so the bath terms are written
+from the bits of the index and no many-proton operator is embedded.
+
 The {m_S = +-1} block is built in the real frame that the echo engine evolves:
 ``R = 1 (x) exp(-i pi/4 sum_k Iz^k)`` turns ``Ix + Iy`` into ``sqrt(2) Ix`` and
 leaves Iz, the pair operator, H_I and every electron operator as they are, so
@@ -22,7 +27,6 @@ the block is real and h0 (H_I plus the m_S = 0 level) is the same in both
 frames.  ``validate.reference_hamiltonian`` stays in the laboratory frame.
 """
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,26 +102,11 @@ def build_electronic(p: ModelParams) -> np.ndarray:
     return h
 
 
-@functools.lru_cache(maxsize=4)
-def _bath_operators(n_nuclei: int):
-    """Bath-space operators shared by every realization with ``n_nuclei`` spins.
-
-    Returns:
-        ``(ix, iz, pair)``: per-site tuples of the embedded Ix and Iz, and
-        ``pair[m, n] = 2 Iz Iz - Ix Ix - Iy Iy`` for m < n.  The arrays are
-        read-only because every caller shares them.
-    """
-    sx, sy, sz = spinops.spin_half_generators()
-    ix = tuple(spinops.embed_bath(sx, m, n_nuclei) for m in range(n_nuclei))
-    iy = tuple(spinops.embed_bath(sy, m, n_nuclei) for m in range(n_nuclei))
-    iz = tuple(spinops.embed_bath(sz, m, n_nuclei) for m in range(n_nuclei))
-    pair = {
-        (m, n): 2.0 * iz[m] @ iz[n] - ix[m] @ ix[n] - iy[m] @ iy[n]
-        for m in range(n_nuclei) for n in range(m + 1, n_nuclei)
-    }
-    for op in (*ix, *iz, *pair.values()):
-        op.flags.writeable = False
-    return ix, iz, pair
+def _bath_iz(n_nuclei: int) -> np.ndarray:
+    """``iz[m, j]``: Iz (+-1/2) of nucleus m in bath basis state j, which is
+    bit ``N - 1 - m`` of j (module docstring)."""
+    shifts = np.arange(n_nuclei - 1, -1, -1)[:, None]
+    return 0.5 - ((np.arange(2**n_nuclei) >> shifts) & 1)
 
 
 def bath_hamiltonian_matrix(p: ModelParams, bath) -> np.ndarray:
@@ -127,18 +116,22 @@ def bath_hamiltonian_matrix(p: ModelParams, bath) -> np.ndarray:
             [2 Iz Iz - Ix Ix - Iy Iy] - gamma_H B0 sum_m Iz^m``
 
     The Zeeman term uses the full applied field B0 (B_min shifts only the
-    electron term).  The pair sum runs over unordered pairs.
+    electron term).  The pair sum runs over unordered pairs.  In the bit
+    layout (module docstring) the bracket is +1/2 on the diagonal of a parallel
+    pair, -1/2 on that of an antiparallel one and -1/2 where the latter flips.
     """
-    n_nuclei = bath.n_nuclei
-    _, iz, pair = _bath_operators(n_nuclei)
-    dim = 2**n_nuclei
-    h = np.zeros((dim, dim), dtype=complex)
-    for m in range(n_nuclei):
-        h -= p.gamma_H * p.B0 * iz[m]
-    for m in range(n_nuclei):
-        for n in range(m + 1, n_nuclei):
-            ang = 3.0 * np.cos(bath.theta[m, n]) ** 2 - 1.0
-            h -= bath.d_pair * ang * pair[m, n]
+    n = bath.n_nuclei
+    iz, states = _bath_iz(n), np.arange(2**n)
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    diag = h.reshape(-1)[:: 2**n + 1]       # a view of h's diagonal
+    for m in range(n):
+        diag -= p.gamma_H * p.B0 * iz[m]
+    for m in range(n):
+        for k in range(m + 1, n):
+            scale = bath.d_pair * (3.0 * np.cos(bath.theta[m, k]) ** 2 - 1.0)
+            diag -= scale * (2.0 * iz[m] * iz[k])
+            anti = states[iz[m] != iz[k]]
+            h[anti, anti ^ (1 << (n - 1 - m)) ^ (1 << (n - 1 - k))] -= scale * -0.5
     return h
 
 
@@ -162,9 +155,11 @@ def block_hamiltonians(params: ModelParams, bath):
     b_op = np.zeros((nb, nb), dtype=complex)
     h_i = np.zeros((nb, nb), dtype=complex)
     if n:
-        ix, iz, _ = _bath_operators(n)
+        iz, states = _bath_iz(n), np.arange(nb)
+        diag = b_op.reshape(-1)[:: nb + 1]      # a view of b_op's diagonal
         for m in range(n):
-            b_op += bath.a_sc[m] * iz[m] + np.sqrt(2.0) * bath.a_psc[m] * ix[m]
+            diag += bath.a_sc[m] * iz[m]
+            b_op[states, states ^ (1 << (n - 1 - m))] += np.sqrt(2.0) * bath.a_psc[m] * 0.5
         h_i = bath_hamiltonian_matrix(params, bath)
     eye_b = np.eye(nb)
     h2 = (np.kron(h_e[np.ix_([0, 2], [0, 2])], eye_b) + np.kron(_SIGMA_Z, b_op)

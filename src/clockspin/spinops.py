@@ -1,12 +1,10 @@
-"""Spin operator algebra for one S=1 electron and a spin-1/2 proton bath.
+"""Single-spin operators: the S=1 electron and one spin-1/2 proton.
 
-The electron basis is the Sz eigenbasis ``{|m_S=+1>, |m_S=0>, |m_S=-1>}``;
-each nuclear factor uses ``{|+1/2>, |-1/2>}``, and bath operators act on
-``C^2 (x) ... (x) C^2`` with nucleus 0 as the most significant factor.  All
-operators are dense complex matrices.
+The electron basis is the Sz eigenbasis ``{|m_S=+1>, |m_S=0>, |m_S=-1>}``
+and the proton basis is ``{|+1/2>, |-1/2>}``.  All operators are dense complex
+matrices.  ``hamiltonian`` builds the bath's operators from the bits of the
+basis index, and only the dense oracle in ``validate`` embeds these ones.
 """
-
-from functools import reduce
 
 import numpy as np
 
@@ -41,18 +39,6 @@ def spin_half_generators():
     iy = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
     iz = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
     return ix, iy, iz
-
-
-def embed_bath(op: np.ndarray, site: int, n_nuclei: int) -> np.ndarray:
-    """Embed a 2x2 nuclear operator into the bath-only space (dim 2**N)."""
-    if not 0 <= site < n_nuclei:
-        raise ValueError(f"nucleus index {site} out of range for N={n_nuclei}")
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"operator shape {op.shape} is not a nuclear 2x2")
-    factors = [np.eye(2, dtype=complex)] * n_nuclei
-    factors[site] = op
-    return reduce(np.kron, factors)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

@@ -57,25 +57,42 @@ def echo_line_frequencies(params: ModelParams, bath, nyquist_hz: float) -> np.nd
     return np.unique(np.round(omega, 3))
 
 
+def _site(op: np.ndarray, m: int, n: int) -> np.ndarray:
+    """A one-proton operator on nucleus m of n, nucleus 0 the slowest factor."""
+    return np.kron(np.kron(np.eye(2**m), op), np.eye(2 ** (n - m - 1)))
+
+
+def _bath_hamiltonian(params: ModelParams, bath) -> np.ndarray:
+    """H_I of ``hamiltonian.bath_hamiltonian_matrix``, from embedded Ix, Iy, Iz."""
+    n = bath.n_nuclei
+    ix, iy, iz = ([_site(op, m, n) for m in range(n)] for op in spinops.spin_half_generators())
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for m in range(n):
+        h -= params.gamma_H * params.B0 * iz[m]
+    for m in range(n):
+        for k in range(m + 1, n):
+            ang = 3.0 * np.cos(bath.theta[m, k]) ** 2 - 1.0
+            h -= bath.d_pair * ang * (2.0 * iz[m] @ iz[k] - ix[m] @ ix[k] - iy[m] @ iy[k])
+    return h
+
+
 def reference_hamiltonian(params: ModelParams, bath) -> np.ndarray:
     """Dense ``H_tot = H_S + H_SI + H_I`` on the full ``C^3 (x) bath`` space (Hz).
 
     Assembled with ``np.kron`` in the laboratory frame, independently of
-    ``block_hamiltonians``: only H_S and the intra-bath H_I are shared, and the
-    hyperfine term is built here, so the m_S = 0 decoupling and the real frame
-    the block engine relies on are checked against this matrix, not assumed.
+    ``block_hamiltonians``: only H_S is shared.  The hyperfine term and H_I are
+    built here from the embedded proton operators, so the m_S = 0 decoupling,
+    the real frame and the bit layout the block engine relies on are checked
+    against this matrix, not assumed.
     """
     n = bath.n_nuclei if bath is not None else 0
-    nb = 2**n
-    h = np.kron(hamiltonian.build_electronic(params), np.eye(nb))
+    h = np.kron(hamiltonian.build_electronic(params), np.eye(2**n))
     if n:
         ix, iy, iz = spinops.spin_half_generators()
         sz = np.diag([1.0, 0.0, -1.0])
         for m in range(n):
-            nuc = bath.a_sc[m] * iz + bath.a_psc[m] * (ix + iy)
-            site = np.kron(np.kron(np.eye(2**m), nuc), np.eye(2 ** (n - m - 1)))
-            h = h + np.kron(sz, site)
-        h = h + np.kron(np.eye(3), hamiltonian.bath_hamiltonian_matrix(params, bath))
+            h = h + np.kron(sz, _site(bath.a_sc[m] * iz + bath.a_psc[m] * (ix + iy), m, n))
+        h = h + np.kron(np.eye(3), _bath_hamiltonian(params, bath))
     return h
 
 

@@ -1,9 +1,11 @@
 """Test-only helpers: closed-form oracles, the real frame of the +-1 block, a
-modulation-depth measure and a text round trip for bath realizations."""
+modulation-depth measure, a text round trip for bath realizations and a
+hypothesis strategy for baths."""
 
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from clockspin.analysis import DecayFit
 from clockspin.bath import BathRealization
@@ -34,6 +36,22 @@ def bath_from_json(text: str) -> BathRealization:
         seed=int(d["seed"]),
         index=int(d["index"]),
     )
+
+
+_COUPLING = st.floats(-10e6, 10e6, allow_subnormal=False)
+
+
+@st.composite
+def drawn_baths(draw):
+    """A bath of 1 to 4 protons with arbitrary couplings and pair angles."""
+    n = draw(st.integers(1, 4))
+    theta = np.zeros((n, n))
+    for m in range(n):
+        for k in range(m + 1, n):
+            theta[m, k] = theta[k, m] = draw(st.floats(0.0, np.pi))
+    return BathRealization(a_sc=np.array(draw(st.lists(_COUPLING, min_size=n, max_size=n))),
+                           a_psc=np.array(draw(st.lists(_COUPLING, min_size=n, max_size=n))),
+                           theta=theta, d_pair=draw(st.floats(0.0, 100e3)))
 
 
 def analytic_doublet_gap(p: ModelParams, delta_b=None) -> float:

@@ -73,6 +73,8 @@ class TestSampleBath:
         with pytest.raises(ValueError):
             BathSpec(n_nuclei=0)
         with pytest.raises(ValueError):
+            BathSpec(n_nuclei=11)
+        with pytest.raises(ValueError):
             BathSpec(a_halfwidth=-1.0)
         with pytest.raises(ValueError):
             sample_bath(BathSpec(), -1)

@@ -186,6 +186,7 @@ class TestInputContract:
         "tau_step_us = abc",
         "D_GHz = 1e999999",         # overflows the decimal shift to Hz
         "bath_N = 1.5",
+        "bath_N = 11",              # above the largest bath built, 10
         "seed = -1",
         "seed = 18446744073709551616",
         "n_realizations = 0",

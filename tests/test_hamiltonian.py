@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clockspin.bath import BathRealization, BathSpec, sample_bath
 from clockspin.hamiltonian import (
     ModelParams,
-    _bath_operators,
     bath_hamiltonian_matrix,
     block_hamiltonians,
     build_electronic,
@@ -14,8 +15,8 @@ from clockspin.hamiltonian import (
     project_fictitious,
 )
 from clockspin.spinops import is_hermitian, spin_half_generators
-from clockspin.validate import reference_hamiltonian
-from support import analytic_doublet_gap, ct_curvature, real_frame
+from clockspin.validate import _bath_hamiltonian, reference_hamiltonian
+from support import analytic_doublet_gap, ct_curvature, drawn_baths, real_frame
 
 GHZ = 1e9
 
@@ -181,12 +182,21 @@ class TestBathHamiltonian:
         h = bath_hamiltonian_matrix(p, single_proton())
         assert np.max(np.abs(h)) > 0.4e6
 
-    def test_cached_operators_are_read_only(self):
-        # every realization with the same N shares them
-        ix, iz, pair = _bath_operators(2)
-        for op in (*ix, *iz, pair[0, 1]):
-            with pytest.raises(ValueError):
-                op[0, 0] = 1.0
+    @settings(max_examples=60, deadline=None)
+    @given(bath=drawn_baths(), b0=st.floats(-0.1, 0.1))
+    def test_bits_equal_kronecker_oracle(self, bath, b0):
+        # the same floating-point operations on every entry as the oracle's
+        # embedded Ix, Iy, Iz: equal to the bit, signs of zeros included
+        p = ModelParams(B0=b0)
+        assert np.array_equal(bath_hamiltonian_matrix(p, bath).view(np.uint64),
+                              _bath_hamiltonian(p, bath).view(np.uint64))
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_bits_equal_kronecker_oracle_n7(self, index):
+        bath = sample_bath(BathSpec(), index)
+        p = ModelParams().at_detuning(2e-3)
+        assert np.array_equal(bath_hamiltonian_matrix(p, bath).view(np.uint64),
+                              _bath_hamiltonian(p, bath).view(np.uint64))
 
 
 class TestTotal:
