@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, config, dynamics, validate
+from . import __version__, analysis, config, dynamics, hamiltonian, validate
 from .echotrace import write_float_csv, write_json
 from .errors import ClockspinError
 
@@ -93,11 +93,14 @@ def _field_job(cfg, db_mt, trace_csv, trace_json, spectrum_csv, trace):
 
 
 def _check_fields(cfg, grid_mt):
-    """Refuse, before the run, a non-finite field or a tau grid too short to
-    fit the decay at one of the fields."""
+    """Refuse, before the run, a non-finite field, a tau grid too short to
+    fit the decay at one of the fields, or a field whose pulses cannot be
+    calibrated (exit 2)."""
     tau = cfg.sequence.tau_grid()
     for db_mt in grid_mt:
-        analysis.check_fit_grid(tau, cfg.model.at_detuning(db_mt * 1e-3).proton_larmor())
+        params = cfg.model.at_detuning(db_mt * 1e-3)
+        analysis.check_fit_grid(tau, params.proton_larmor())
+        dynamics.calibrate_pulses(hamiltonian.build_electronic(params))
 
 
 def cmd_echo(args) -> int:

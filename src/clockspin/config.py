@@ -36,8 +36,6 @@ _KEYS = {
     "tau_step_us": ("sequence", "tau_step", float, -6),
     "tau_max_us": ("sequence", "tau_max", float, -6),
     "temperature_K": ("sequence", "temperature", float, 0),
-    "phi_half_rad": ("sequence", "phi_half", float, 0),
-    "phi_pi_rad": ("sequence", "phi_pi", float, 0),
     "detuning_start_mT": (None, "detuning_start_mt", float, 0),
     "detuning_stop_mT": (None, "detuning_stop_mt", float, 0),
     "detuning_step_mT": (None, "detuning_step_mt", float, 0),

@@ -1,12 +1,14 @@
-"""Physical constants used across the package (SI units)."""
+"""Physical constants used across the package (SI units).
 
-import scipy.constants as _sc
+The CODATA values are the doubles that ``scipy.constants`` 1.17 returns
+(CODATA 2022); h and k are exact in SI.
+"""
 
-PLANCK = _sc.h                      # J s
-KBOLTZ = _sc.k                      # J/K
-MU0 = _sc.mu_0                      # T m/A
-MU_BOHR = _sc.value("Bohr magneton")            # J/T
-PROTON_MOMENT = _sc.value("proton mag. mom.")   # J/T, = gamma_H * h / 2
+PLANCK = 6.62607015e-34             # J s
+KBOLTZ = 1.380649e-23               # J/K
+MU0 = 1.25663706127e-06             # T m/A
+MU_BOHR = 9.2740100657e-24          # J/T
+PROTON_MOMENT = 1.41060679545e-26   # J/T, = gamma_H * h / 2
 
 # Proton gyromagnetic ratio in Hz/T.  The bath Hamiltonian uses this value
 # directly; it is also exposed as a model parameter so it can be overridden.

@@ -4,7 +4,9 @@ All phase evolution uses ``exp(-i 2 pi f tau)`` with Hamiltonians in Hz.  The
 two-pulse sequence is ``P(phi_half) - tau - P(phi_pi) - tau - readout`` with
 instantaneous pulses ``exp[i phi {Sx,Sy}/2]`` acting on the electron only, and
 the echo observable is the full-system expectation of the embedded Sz at the
-readout time 2*tau.
+readout time 2*tau.  The angles are not a setting: ``hahn_echo_trace`` calibrates
+them for its field (``calibrate_pulses``) and records them in the trace's
+sidecar.
 
 The production engine exploits an exact structural property of the model:
 nothing in H_tot, the pulses or the observable couples the ``m_S = 0`` electron
@@ -66,7 +68,7 @@ import multiprocessing
 import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -103,16 +105,13 @@ def _whole_steps(steps: float, what: str) -> int:
 class SequenceConfig:
     """Hahn-echo sequence settings.
 
-    Defaults: 100 ns delay increments out to 100 us at 5 K.  Pulse angles of
-    ``None`` come from ``calibrate_pulses`` per field: phi_pi = pi in closed
-    form and phi_half calibrated numerically.
+    Defaults: 100 ns delay increments out to 100 us at 5 K.  It holds no
+    pulse angles: each trace calibrates them for its field.
     """
 
     tau_step: float = 100e-9
     tau_max: float = 100e-6
     temperature: float = 5.0
-    phi_half: float | None = None
-    phi_pi: float | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.tau_step) and self.tau_step > 0):
@@ -176,16 +175,6 @@ def calibrate_pulses(h_electronic: np.ndarray):
     return phi_half, phi_pi
 
 
-def _resolved_angles(params: ModelParams, seq: SequenceConfig):
-    if seq.phi_half is None or seq.phi_pi is None:
-        phi_half, phi_pi = calibrate_pulses(hamiltonian.build_electronic(params))
-        return (
-            seq.phi_half if seq.phi_half is not None else phi_half,
-            seq.phi_pi if seq.phi_pi is not None else phi_pi,
-        )
-    return seq.phi_half, seq.phi_pi
-
-
 def _trace_meta(params, bath, seq, phi_half, phi_pi):
     meta = {
         "model": {
@@ -222,7 +211,8 @@ def _tau_chunk(d: int) -> int:
     return max(2, 8192 // (d // 2 * d))
 
 
-def _echo_block_engine(params, bath, seq, tau):
+def _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi):
+    """The echo on ``tau`` after pulses of the given angles."""
     h2, h0 = hamiltonian.block_hamiltonians(params, bath)
     nb = h0.shape[0]
     d = 2 * nb
@@ -238,7 +228,6 @@ def _echo_block_engine(params, bath, seq, tau):
     z_total = w2.sum() + np.exp(-beta_h * (e0 - e_ref)).sum()
     w2 /= z_total
 
-    phi_half, phi_pi = _resolved_angles(params, seq)
     p_half = v2.T @ _block_pulse(phi_half, nb) @ v2
     p_pi = v2.T @ _block_pulse(phi_pi, nb) @ v2
 
@@ -267,7 +256,7 @@ def _echo_block_engine(params, bath, seq, tau):
         intensity[start:stop] = 2.0 * np.einsum("ktj,ktj->t", x, x)
         del x           # before the next chunk's operand is built
     intensity -= w2.sum()
-    return intensity, phi_half, phi_pi
+    return intensity
 
 
 def hahn_echo_trace(params: ModelParams, bath, seq: SequenceConfig) -> EchoTrace:
@@ -280,10 +269,15 @@ def hahn_echo_trace(params: ModelParams, bath, seq: SequenceConfig) -> EchoTrace
 
     Returns:
         EchoTrace sampled on ``tau_step * (1..n)``; every tau point reuses a
-        single eigendecomposition of the (time-independent) Hamiltonian.
+        single eigendecomposition of the (time-independent) Hamiltonian.  Its
+        sidecar records the pulse angles calibrated for the field.
+
+    Raises:
+        CalibrationError: if the field's pulses cannot be calibrated.
     """
     tau = seq.tau_grid()
-    intensity, phi_half, phi_pi = _echo_block_engine(params, bath, seq, tau)
+    phi_half, phi_pi = calibrate_pulses(hamiltonian.build_electronic(params))
+    intensity = _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi)
     meta = _trace_meta(params, bath, seq, phi_half, phi_pi)
     return EchoTrace(tau=tau, intensity=intensity, meta=meta)
 
@@ -427,12 +421,7 @@ def field_sweep(params: ModelParams, spec, seq: SequenceConfig, detunings,
     if detunings.size == 0:
         raise ValueError("detuning grid is empty")
     finish = [None] * detunings.size if finish is None else finish
-    # The pulse angles depend only on the field: calibrate once per detuning.
-    fields = []
-    for db, finish_db in zip(detunings, finish, strict=True):
-        phi_half, phi_pi = _resolved_angles(params.at_detuning(db), seq)
-        seq_db = replace(seq, phi_half=phi_half, phi_pi=phi_pi)
-        fields.append((params, spec, seq_db, db, finish_db))
+    fields = [(params, spec, seq, db, f) for db, f in zip(detunings, finish, strict=True)]
     nr = spec.n_realizations
     workers = worker_count(jobs, len(fields) * nr)
     if sweep_job_count(spec, seq, len(fields), workers) == len(fields):

@@ -7,7 +7,6 @@ engine in ``dynamics`` is checked against here and in the tests.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import constants, dynamics, hamiltonian, spinops
 from .bath import BathRealization, BathSpec, sample_bath
@@ -105,6 +104,8 @@ def reference_echo(params: ModelParams, bath, seq, phi_half: float,
     of a full-space ``eigh``.  The pulse angles are inputs, so the block
     engine's calibrated angles can be replayed here.
     """
+    from scipy.linalg import expm       # kept off the run path of echo and sweep
+
     h = reference_hamiltonian(params, bath)
     nb = h.shape[0] // 3
     rho = expm(-constants.PLANCK / (constants.KBOLTZ * seq.temperature) * h)

@@ -116,6 +116,18 @@ class TestDipolarStrength:
             dipolar_strength(1e-10, 1e-26, 1e-26, "sideways")
 
 
+class TestConstants:
+    def test_literals_match_scipy(self):
+        # h and k are exact in SI; the others may come from another CODATA
+        # edition in another scipy, which moves them by about 1e-9
+        import scipy.constants as sc
+
+        assert constants.PLANCK == sc.h and constants.KBOLTZ == sc.k
+        assert constants.MU0 == pytest.approx(sc.mu_0, rel=1e-8)
+        assert constants.MU_BOHR == pytest.approx(sc.value("Bohr magneton"), rel=1e-8)
+        assert constants.PROTON_MOMENT == pytest.approx(sc.value("proton mag. mom."), rel=1e-8)
+
+
 def make_trace(values, seed=0, index=0):
     tau = 1e-7 * np.arange(1, len(values) + 1)
     return EchoTrace(tau=tau, intensity=np.asarray(values, dtype=float),

@@ -89,7 +89,7 @@ class TestConfigParsing:
         text = RunConfig().describe()
         assert text["tau_step_us"] == "0.1"
         assert text["D_GHz"] == "-45" and text["B_min_mT"] == "23.5"
-        assert "phi_half_rad" not in text and "jobs" not in text     # None: not written
+        assert set(text) == set(config._KEYS) - {"jobs"}             # None: not written
 
     @settings(deadline=None)
     @given(st.data())
@@ -114,7 +114,6 @@ def _valid_run_configs(draw):
         except ValueError:
             reject()
 
-    angle = st.none() | _FLOATS
     tau_step = draw(st.floats(min_value=5e-324, max_value=1e300))
     return RunConfig(
         model=build(ModelParams, D=draw(_FLOATS), E=draw(_FLOATS), gamma_e=draw(_FLOATS),
@@ -125,7 +124,7 @@ def _valid_run_configs(draw):
                    seed=draw(st.integers(0, 2**64 - 1))),
         sequence=build(SequenceConfig, tau_step=tau_step,
                        tau_max=tau_step * draw(st.integers(1, config._MAX_GRID_POINTS)),
-                       temperature=draw(_POSITIVE), phi_half=draw(angle), phi_pi=draw(angle)),
+                       temperature=draw(_POSITIVE)),
         **{f"{grid}_{end}_mt": draw(_FLOATS)
            for grid in ("detuning", "zeeman") for end in ("start", "stop", "step")},
         detuning_mt=draw(_FLOATS),
@@ -193,6 +192,8 @@ class TestInputContract:
         "fit_model = cubic",
         "spectrum_mode = fourier",
         "angle_mode = uniform-theta",
+        "phi_half_rad = 1.5707963267948966",    # the pulse angles are calibrated, not set
+        "phi_pi_rad = 3.141592653589793",
     ])
     def test_invalid_value_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -308,6 +309,21 @@ class TestInputContract:
         rc = main(argv + ["--config", str(cfg), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"clockspin: usage error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--start-mT", "0", "--stop-mT", "700", "--step-mT", "350"],
+        ["echo", "--detuning-mT", "700"],
+    ], ids=" ".join)
+    def test_unreachable_field_is_numerical_failure_before_the_run(self, tmp_path, capsys,
+                                                                   n2_config, argv):
+        # past ~0.64 T an m_S = 0 level is among the two lowest states, so no
+        # pulse moves half the population; refused before any trace runs
+        out = tmp_path / "bad"
+        rc = main(argv + ["--config", str(n2_config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "clockspin: numerical failure: maximum population transfer 0.000 < 0.5"]
         assert not out.exists()
 
     def test_grid_at_point_limit_is_built(self):

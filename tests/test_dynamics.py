@@ -54,6 +54,11 @@ def n7_bath():
     return sample_bath(BathSpec(n_nuclei=7), 0)
 
 
+def pinned_echo(params, bath, seq, phi_half, phi_pi):
+    """The engine's echo on ``seq.tau_grid()`` after pulses of the given angles."""
+    return dynamics._echo_block_engine(params, bath, seq, seq.tau_grid(), phi_half, phi_pi)
+
+
 def replayed_reference(params, bath, seq, trace):
     """The dense reference run with the angles the block engine used."""
     angles = trace.meta["sequence"]
@@ -81,10 +86,10 @@ class TestThermalState:
         # scalar oracle: at the CT a pi/2 - tau - pi - tau echo of the bare
         # electron reads the doublet population difference exp(-E_k h / k_B T)
         # over the analytic triple, m_S = 0 included in the normalization
-        seq = SequenceConfig(tau_step=100e-9, tau_max=2e-6, phi_half=np.pi / 2, phi_pi=np.pi)
-        trace = hahn_echo_trace(ModelParams(), None, seq)
+        seq = SequenceConfig(tau_step=100e-9, tau_max=2e-6)
+        echo = pinned_echo(ModelParams(), None, seq, np.pi / 2, np.pi)
         w = ct_boltzmann_weights(ModelParams(), 5.0)
-        assert np.allclose(trace.intensity, w[0] - w[1], rtol=1e-12, atol=0.0)
+        assert np.allclose(echo, w[0] - w[1], rtol=1e-12, atol=0.0)
 
     def test_thermal_frequency_scale(self):
         # k_B T / h at 5 K is ~104.2 GHz
@@ -92,29 +97,29 @@ class TestThermalState:
 
     def test_commutes_with_hamiltonian(self):
         # without pulses the thermal state is stationary: the trace is flat
-        seq = SequenceConfig(tau_step=100e-9, tau_max=20e-6, phi_half=0.0, phi_pi=0.0)
-        trace = hahn_echo_trace(ModelParams().at_detuning(2e-3), single_proton(), seq)
-        assert np.max(np.abs(trace.intensity - trace.intensity[0])) < 1e-12
+        seq = SequenceConfig(tau_step=100e-9, tau_max=20e-6)
+        echo = pinned_echo(ModelParams().at_detuning(2e-3), single_proton(), seq, 0.0, 0.0)
+        assert np.max(np.abs(echo - echo[0])) < 1e-12
 
     def test_density_matrix_invariants(self):
         # the block weights reproduce the normalized dense exp(-beta H), whose
         # Sz readout a valid density matrix keeps within [-1, 1]
         p = ModelParams().at_detuning(2e-3)
-        seq = SequenceConfig(tau_step=200e-9, tau_max=5e-6, phi_half=0.0, phi_pi=0.0)
-        trace = hahn_echo_trace(p, two_protons(), seq)
+        seq = SequenceConfig(tau_step=200e-9, tau_max=5e-6)
+        echo = pinned_echo(p, two_protons(), seq, 0.0, 0.0)
         ref = reference_echo(p, two_protons(), seq, 0.0, 0.0)
-        assert np.max(np.abs(trace.intensity - ref)) < 1e-12
-        assert np.max(np.abs(trace.intensity)) <= 1.0
+        assert np.max(np.abs(echo - ref)) < 1e-12
+        assert np.max(np.abs(echo)) <= 1.0
 
     def test_energy_expectation_matches_boltzmann_average(self):
         # detuned bare electron, no pulses: Tr(rho Sz) is the Boltzmann average
         # of the doublet's <Sz> = -+ gamma_e dB / sqrt(E^2 + (gamma_e dB)^2)
         p = ModelParams().at_detuning(10e-3)
-        seq = SequenceConfig(tau_step=100e-9, tau_max=2e-6, phi_half=0.0, phi_pi=0.0)
-        trace = hahn_echo_trace(p, None, seq)
+        seq = SequenceConfig(tau_step=100e-9, tau_max=2e-6)
+        echo = pinned_echo(p, None, seq, 0.0, 0.0)
         w = ct_boltzmann_weights(p, 5.0)
         s = p.gamma_e * p.detuning / np.sqrt(p.E**2 + (p.gamma_e * p.detuning) ** 2)
-        assert np.allclose(trace.intensity, (w[1] - w[0]) * s, rtol=1e-10, atol=0.0)
+        assert np.allclose(echo, (w[1] - w[0]) * s, rtol=1e-10, atol=0.0)
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
@@ -127,12 +132,11 @@ class TestPropagate:
     def test_tau_zero_is_identity(self):
         # with vanishing delays the two pulses compose into one rotation
         p = ModelParams().at_detuning(10e-3)
+        seq = SequenceConfig(tau_step=1e-21, tau_max=1e-21)
         for a, b in ((0.3, 1.1), (np.pi / 2, np.pi)):
-            echo = hahn_echo_trace(p, single_proton(), SequenceConfig(
-                tau_step=1e-21, tau_max=1e-21, phi_half=a, phi_pi=b))
-            single = hahn_echo_trace(p, single_proton(), SequenceConfig(
-                tau_step=1e-21, tau_max=1e-21, phi_half=a + b, phi_pi=0.0))
-            assert abs(echo.intensity[0] - single.intensity[0]) < 1e-14
+            echo = pinned_echo(p, single_proton(), seq, a, b)
+            single = pinned_echo(p, single_proton(), seq, a + b, 0.0)
+            assert abs(echo[0] - single[0]) < 1e-14
 
     def test_matrix_exponential_oracle(self):
         # the reference's eigenbasis delays against an independent
@@ -301,6 +305,39 @@ class TestHahnEcho:
                 floor = 1e-11 + 4 * np.pi * eps * f_max * blk.tau
                 assert np.all(np.abs(blk.intensity - full) <= floor), (db, index)
 
+    @pytest.mark.parametrize("detuning", [-5e-3, -1e-3, 0.0, 2e-3, 5e-3, 20e-3])
+    def test_bare_electron_matches_closed_form(self, detuning):
+        # With no bath the +-1 block is (D/3) 1 + g sz + E sx, g = gamma_e dB,
+        # sz and sx the Pauli matrices.  Up to a global phase its delay
+        # propagator is cos(2 pi W tau) - i sin(2 pi W tau) n.s, with
+        # W = sqrt(E^2 + g^2) and n.s = (E sx + g sz) / W.  Its thermal state is
+        # (cosh(a W) - sinh(a W) n.s) / (2 cosh(a W) + exp(a D)), a = h / k_B T,
+        # the m_S = 0 level at -2D/3 in the normalization.  The pulses are real
+        # rotations about y.  No eigensolver is involved.
+        p = ModelParams().at_detuning(detuning)
+        seq = SequenceConfig()
+        trace = hahn_echo_trace(p, None, seq)
+        g = p.gamma_e * p.detuning
+        w = np.hypot(p.E, g)
+        n_s = np.array([[g, p.E], [p.E, -g]]) / w
+        a = constants.PLANCK / (constants.KBOLTZ * seq.temperature)
+        rho = (np.cosh(a * w) * np.eye(2) - np.sinh(a * w) * n_s) / (
+            2 * np.cosh(a * w) + np.exp(a * p.D))
+
+        def pulse(phi):
+            c, s = np.cos(phi / 2), np.sin(phi / 2)
+            return np.array([[c, s], [-s, c]])
+
+        angles = trace.meta["sequence"]
+        x = 2 * np.pi * w * trace.tau[:, None, None]
+        u = np.cos(x) * np.eye(2) - 1j * np.sin(x) * n_s
+        m = u @ pulse(angles["phi_pi_rad"]) @ u @ pulse(angles["phi_half_rad"])
+        r = m @ rho @ m.conj().transpose(0, 2, 1)
+        oracle = (r[:, 0, 0] - r[:, 1, 1]).real
+        f_max = max(abs(p.D) / 3 + w, 2 * abs(p.D) / 3)
+        floor = 1e-11 + 4 * np.pi * np.finfo(float).eps * f_max * trace.tau
+        assert np.all(np.abs(trace.intensity - oracle) <= floor)
+
     @settings(max_examples=12, deadline=None)
     @given(data=st.data(), bath=drawn_baths(), detuning=st.floats(-20e-3, 20e-3))
     def test_relabelled_nuclei_give_the_same_echo(self, data, bath, detuning):
@@ -324,11 +361,6 @@ class TestHahnEcho:
         assert trace.meta["sequence"]["phi_pi_rad"] == pytest.approx(np.pi, abs=1e-3)
         assert trace.tau[0] == pytest.approx(100e-9)
         assert trace.tau.size == 50
-
-    def test_explicit_angles_respected(self):
-        seq = SequenceConfig(tau_step=100e-9, tau_max=2e-6, phi_half=0.3, phi_pi=0.6)
-        trace = hahn_echo_trace(ModelParams(), single_proton(), seq)
-        assert trace.meta["sequence"]["phi_half_rad"] == 0.3
 
     def test_unknown_method_rejected(self):
         # there is one engine: an engine selector is no longer accepted
@@ -376,12 +408,11 @@ class TestTauChunk:
         p = ModelParams().at_detuning(2e-3)
         bath = sample_bath(BathSpec(n_nuclei=n), 0)
         seq = SequenceConfig(tau_max=100e-6 if n <= 5 else 6.5e-6)
-        tau = seq.tau_grid()
         with dynamics._single_threaded_blas():     # as every sweep runs the kernel
-            ruled, _, _ = dynamics._echo_block_engine(p, bath, seq, tau)
+            ruled = pinned_echo(p, bath, seq, np.pi / 2, np.pi)
             for chunk in (3, 16):
                 monkeypatch.setattr(dynamics, "_tau_chunk", lambda d: chunk)
-                fixed, _, _ = dynamics._echo_block_engine(p, bath, seq, tau)
+                fixed = pinned_echo(p, bath, seq, np.pi / 2, np.pi)
                 assert np.array_equal(ruled, fixed), chunk
 
     def test_kernel_working_set(self):
@@ -403,7 +434,7 @@ class TestTauChunk:
         tracemalloc.start()
         try:
             with dynamics._single_threaded_blas():
-                dynamics._echo_block_engine(p, bath, seq, seq.tau_grid())
+                pinned_echo(p, bath, seq, np.pi / 2, np.pi)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -542,20 +573,12 @@ class TestFieldSweep:
         assert swept[0].meta["detuning_T"] == pytest.approx(1e-3)
         assert swept[0].meta["n_realizations"] == 2
 
-    def test_calibrates_once_per_field(self, monkeypatch):
-        calls = []
-
-        def counting(h_electronic):
-            calls.append(h_electronic)
-            return calibrate_pulses(h_electronic)
-
-        monkeypatch.setattr(dynamics, "calibrate_pulses", counting)
+    def test_sweep_traces_carry_the_angles_a_direct_trace_calibrates(self):
         spec = BathSpec(n_nuclei=1, n_realizations=3, seed=5)
         seq = SequenceConfig(tau_step=200e-9, tau_max=2e-6)
-        swept = field_sweep(ModelParams(), spec, seq, [-1e-3, 0.0, 1e-3], jobs=1)
-        assert len(calls) == 3
-        # the angles calibrated in the sweep are the ones a direct call finds
-        p = ModelParams().at_detuning(1e-3)
-        direct = hahn_echo_trace(p, sample_bath(spec, 0), seq)
-        assert len(calls) == 4
-        assert swept[2].meta["sequence"] == direct.meta["sequence"]
+        grid = [-1e-3, 0.0, 1e-3]
+        swept = field_sweep(ModelParams(), spec, seq, grid, jobs=1)
+        for db, avg in zip(grid, swept):
+            direct = hahn_echo_trace(ModelParams().at_detuning(db), sample_bath(spec, 0), seq)
+            assert avg.meta["sequence"] == direct.meta["sequence"]
+            assert avg.meta["sequence"]["phi_pi_rad"] == np.pi

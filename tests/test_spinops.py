@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from clockspin.bath import BathRealization
-from clockspin.dynamics import SequenceConfig, _block_pulse, _electron_pulse, hahn_echo_trace
+from clockspin.dynamics import (
+    SequenceConfig,
+    _block_pulse,
+    _echo_block_engine,
+    _electron_pulse,
+    hahn_echo_trace,
+)
 from clockspin.hamiltonian import ModelParams, block_hamiltonians, build_electronic
 from clockspin.spinops import is_hermitian, spin1_generators, spin_half_generators
 from clockspin.validate import _site, reference_echo, reference_hamiltonian
@@ -112,10 +118,9 @@ class TestExpectation:
     def test_polarized_electron(self):
         # near T = 0 the bare electron starts in the lower CT state; pi/2 and pi
         # pulses refocus its full polarization into a unit echo
-        seq = SequenceConfig(tau_step=100e-9, tau_max=2e-6, temperature=0.01,
-                             phi_half=np.pi / 2, phi_pi=np.pi)
-        trace = hahn_echo_trace(ModelParams(), None, seq)
-        assert np.allclose(trace.intensity, 1.0, rtol=0.0, atol=1e-12)
+        seq = SequenceConfig(tau_step=100e-9, tau_max=2e-6, temperature=0.01)
+        echo = _echo_block_engine(ModelParams(), None, seq, seq.tau_grid(), np.pi / 2, np.pi)
+        assert np.allclose(echo, 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestPartialTrace:
@@ -146,11 +151,10 @@ class TestPartialTrace:
         # prepared by random pulse angles
         rng = np.random.default_rng(7)
         p = ModelParams().at_detuning(2e-3)
+        seq = SequenceConfig(tau_step=100e-9, tau_max=1e-6)
         for _ in range(5):
             phi_half, phi_pi = rng.uniform(0.0, np.pi, 2)
-            seq = SequenceConfig(tau_step=100e-9, tau_max=1e-6,
-                                 phi_half=phi_half, phi_pi=phi_pi)
-            blk = hahn_echo_trace(p, two_protons(), seq).intensity
+            blk = _echo_block_engine(p, two_protons(), seq, seq.tau_grid(), phi_half, phi_pi)
             full = reference_echo(p, two_protons(), seq, phi_half, phi_pi)
             assert np.max(np.abs(blk - full)) < 1e-12
 
