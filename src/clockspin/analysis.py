@@ -5,21 +5,25 @@ Background decay is fit against the physical evolution time ``t = 2 tau``
 against the interpulse delay ``tau`` itself: two-pulse echo modulation is
 periodic in tau, so this abscissa puts the ESEEM peaks at the bare nuclear
 frequencies nu_H and 2 nu_H, as observed.
+
+The decay fit is the bounded trust-region-reflective least-squares fit that
+``scipy.optimize.curve_fit`` runs, ported to numpy in ``solvers``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .echotrace import EchoTrace, write_float_csv
 from .errors import FitError, PeakExtractionError
+from .solvers import least_squares_bounded
 
 NO_DECAY_FACTOR = 10.0          # sentinel: T_m >= 10x the observation window
 FLAT_RANGE_TOL = 1e-10          # relative range below which a trace is constant
 LOWPASS_HZ = 12e6               # spectra: low-pass guard, bins above it are zeroed
 PEAK_THRESHOLD = 0.1            # peaks: above this fraction of the band maximum
 MIN_FIT_POINTS = 20             # fewest trace points a decay fit accepts
+MAX_FIT_EVALUATIONS = 20000     # residual evaluations before a fit gives up
 
 
 @dataclass
@@ -87,6 +91,8 @@ def fit_decay(trace: EchoTrace, baseline: bool = False,
             time grid.
 
     Raises:
+        ValueError: if the trace has fewer than ``MIN_FIT_POINTS`` points, or
+            an infinite or NaN value.
         FitError: if the optimizer fails to converge.
     """
     if smooth_hz is not None:
@@ -95,6 +101,8 @@ def fit_decay(trace: EchoTrace, baseline: bool = False,
     y = trace.intensity
     if t.size < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a decay")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("cannot fit a trace with infinite or NaN values")
     window = float(t[-1])
     scale = max(np.max(np.abs(y)), 1e-300)
     if (np.max(y) - np.min(y)) < FLAT_RANGE_TOL * scale:
@@ -124,10 +132,8 @@ def fit_decay(trace: EchoTrace, baseline: bool = False,
         c = pars[-1] if baseline else 0.0
         return c + i0 * np.exp(-((tt / tm) ** x))
 
-    try:
-        popt, _ = curve_fit(fun, t, y, p0=p0, bounds=(lo, hi), maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError("decay fit did not converge") from exc
+    popt = _converged(least_squares_bounded(lambda p: fun(t, *p) - y, p0, lo, hi,
+                                            MAX_FIT_EVALUATIONS))
     i0, t_m, x = map(float, popt[:3])
     c = float(popt[-1]) if baseline else 0.0
     resid = float(np.sqrt(np.mean((y - fun(t, *popt)) ** 2)))
@@ -138,6 +144,14 @@ def fit_decay(trace: EchoTrace, baseline: bool = False,
         t_m = max(t_m, NO_DECAY_FACTOR * window)
     return DecayFit(i0=i0, t_m=t_m, exponent=x,
                     residual_norm=resid, window=window, baseline=c)
+
+
+def _converged(result):
+    """The solution of a decay fit, or FitError where the solver ran out of
+    evaluations before a convergence test held."""
+    if result.status <= 0:
+        raise FitError("decay fit did not converge")
+    return result.x
 
 
 def subtract_background(trace: EchoTrace, fit: DecayFit) -> EchoTrace:

@@ -5,8 +5,8 @@ two-pulse sequence is ``P(phi_half) - tau - P(phi_pi) - tau - readout`` with
 instantaneous pulses ``exp[i phi {Sx,Sy}/2]`` acting on the electron only, and
 the echo observable is the full-system expectation of the embedded Sz at the
 readout time 2*tau.  The angles are not a setting: ``hahn_echo_trace`` calibrates
-them for its field (``calibrate_pulses``) and records them in the trace's
-sidecar.
+them for its field (``calibrate_pulses``, by ``solvers.brentq``) and records
+them in the trace's sidecar.
 
 The production engine exploits an exact structural property of the model:
 nothing in H_tot, the pulses or the observable couples the ``m_S = 0`` electron
@@ -71,11 +71,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__ as _pkg_version
 from . import bath as bath_mod
-from . import constants, hamiltonian, spinops
+from . import constants, hamiltonian, solvers, spinops
 from .echotrace import EchoTrace
 from .errors import CalibrationError, ClockspinError
 from .hamiltonian import ModelParams
@@ -151,7 +150,8 @@ def calibrate_pulses(h_electronic: np.ndarray):
     so the transfer between the two lowest eigenstates is sin^2(phi/2) when
     both lie in that doublet, and phi_pi = pi in closed form.  phi_half, which
     equalizes the two populations starting from the ground state, is
-    calibrated numerically.
+    bracketed in ``[1e-6, pi]`` and found by ``solvers.brentq`` to within
+    ``1e-4``: Brent's method as scipy's ``brentq`` runs it, to the same double.
 
     Returns:
         ``(phi_half, phi_pi)`` with ``phi_pi = pi``.
@@ -171,7 +171,7 @@ def calibrate_pulses(h_electronic: np.ndarray):
         psi = _electron_pulse(phi) @ g
         return abs(e.conj() @ psi) ** 2 - abs(g.conj() @ psi) ** 2
 
-    phi_half = float(brentq(imbalance, 1e-6, phi_pi, xtol=1e-4))
+    phi_half = solvers.brentq(imbalance, 1e-6, phi_pi, xtol=1e-4)
     return phi_half, phi_pi
 
 

@@ -651,6 +651,50 @@ def _check_failed_fit_stops_the_pool(tmp_path, n2_config, monkeypatch):
     assert len(traces.read_text().splitlines()) <= 20       # of 42 traces
 
 
+def _scipy_modules_after(tmp_path, argv_list, block):
+    """``(return codes, scipy modules loaded)`` of running ``main`` on each argv
+    in one fresh interpreter.  With ``block`` an import of scipy raises there,
+    so that an import in a forked worker fails its command too."""
+    script = tmp_path / "run.py"
+    script.write_text(
+        "import json, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy' and BLOCK:\n"
+        "            raise ImportError(f'{name} imported on the run path')\n"
+        "BLOCK = sys.argv[1] == 'block'\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from clockspin.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(clockspin.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, str(script), "block" if block else "allow",
+                           json.dumps(argv_list)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestRunPathImports:
+    def test_run_commands_load_no_scipy(self, tmp_path, n2_config):
+        sweep = ["sweep", "--config", str(n2_config), "--start-mT", "0", "--stop-mT", "1",
+                 "--step-mT", "1"]
+        codes, loaded = _scipy_modules_after(tmp_path, [
+            ["echo", "--preset", "n1", "--detuning-mT", "20", "--out", str(tmp_path / "n1")],
+            sweep + ["--jobs", "1", "--out", str(tmp_path / "serial")],
+            sweep + ["--out", str(tmp_path / "default")],
+            ["zeeman", "--out", str(tmp_path / "zeeman")],
+        ], block=True)
+        assert codes == [0, 0, 0, 0]
+        assert loaded == []
+
+    def test_validate_still_imports_its_oracle(self, tmp_path):
+        # the dense reference imports scipy.linalg.expm on its own
+        codes, loaded = _scipy_modules_after(tmp_path, [["validate"]], block=False)
+        assert codes == [0]
+        assert "scipy.linalg" in loaded
+
+
 class TestValidateCommand:
     def test_pristine_build_passes(self, capsys):
         rc = main(["validate"])
