@@ -22,7 +22,14 @@ propagator in the eigenbasis, V_up the up-electron rows of the eigenvectors
 and ``L = P_half diag(sqrt(w))`` a square root of the post-pulse state.
 Projecting onto the d/2 up-electron rows first leaves two d/2 x d x d
 products per tau point for the d = 2 * 2**N block; the identity is exact, not
-an approximation.
+an approximation.  The norm depends on L only through ``L L^T``, so any T
+with ``T^T T = L L^T`` can stand in for ``L^T``: the engine takes the
+upper-triangular factor of the QR decomposition of ``L^T`` (Golub & Van
+Loan, Matrix Computations, section 5.2), whose zero lower triangle the
+second product skips.  It is QR, not the Cholesky factor of ``L L^T``: at
+low temperature Boltzmann weights underflow to exactly 0 (8 of the 16 at
+N = 3 and 10 uK), so whole columns of L vanish and ``L L^T`` is singular,
+where Cholesky breaks down and Householder QR does not.
 
 The block comes real from ``hamiltonian.block_hamiltonians``, whose frame
 turns each nuclear spin by pi/4 about z.  That rotation is diagonal and
@@ -34,12 +41,20 @@ eigenvectors.  It is the complex solver on purpose: the real-symmetric one
 (dsyevd) is less accurate over a 100 us window (worst error 0.047 of the
 numerical floor, against 0.028), and the real parts of complex eigenvectors
 need not be eigenvectors where the bath is exactly degenerate.  So V_up,
-P_pi and L are real, and only the delay phases D are complex.  The kernel
-evaluates the norm transposed, ``||L^T D P_pi^T D V_up^T||_F``, on
-``(d x nt d/2)`` complex chunk operands: a real d x d matrix multiplies such
-an operand as one real GEMM on its float64 view, without copies.  Each tau
-point costs 2 d^3 real multiply-adds, half the 4 d^3 of the same two products
-on complex matrices.
+P_pi and T are real, and only the delay phases D are complex.  The kernel
+evaluates the norm transposed, ``||T D P_pi^T D V_up^T||_F``, on
+``(d x nt d/2)`` complex chunk operands: a real matrix multiplies such an
+operand as a real GEMM on its float64 view, without copies.  The product by
+``P_pi^T`` is one d x d GEMM.  The product by T runs in blocks of
+``_ROW_BLOCK`` = 64 rows, each multiplying rows ``r:r+64`` of T from the
+diagonal column r on with rows ``r:`` of the operand, and adds the blocks'
+per-tau sums of squares.  With ``n_b = max(1, d // 64)`` blocks a tau point
+costs ``d^3 (1 + (n_b + 1) / (2 n_b))`` real multiply-adds: 1.625 d^3 at
+N = 7, 1.75 d^3 at N = 6, the 2 d^3 of one full GEMM for d <= 64, and towards
+1.5 d^3 as N grows.  The same two products on complex matrices would cost
+4 d^3.  The height of 64 rows comes from measurement: at N = 7 on one BLAS
+thread of a 2-core host, blocks of 32, 64 and 128 rows ran within 2% of each
+other, and one block of all 256 rows 19% slower.
 
 The tau points are evolved in chunks of ``max(2, 8192 // (d/2 * d))`` points,
 sized by the bytes of the chunk's ``(d x nt d/2)`` GEMM operand: about 8192
@@ -54,9 +69,10 @@ N = 6 on changes the last bits.  Otherwise, on one BLAS thread, the echo's bits
 do not depend on the chunk length (the tests check N = 1 to 7).
 
 ``field_sweep`` maps its jobs once, in one forked pool on one BLAS thread.  A
-field is one job if its kernel work ``n_realizations * n_tau * d^3`` (real
-multiply-adds, half of what the kernel does) is at most 2^30 (N <= 4 at
-10 x 1000) and the sweep has at least as many fields as workers; that job runs the traces, their average and
+field is one job if its kernel work ``n_realizations * n_tau * d^3`` (a
+measure of size: the kernel does 1.5 to 2 times that many real multiply-adds)
+is at most 2^30 (N <= 4 at 10 x 1000) and the sweep has at least as many
+fields as workers; that job runs the traces, their average and
 the field's ``finish`` and returns what ``finish`` returns.  Otherwise (a
 costly field, or an echo on two workers) each realization is one job; the
 caller averages and finishes each field as soon as its realizations are back,
@@ -81,6 +97,7 @@ from .hamiltonian import ModelParams
 
 _MAX_GRID_POINTS = 1_000_000     # largest tau or field grid clockspin builds
 _FIELD_JOB_WORK = 2**30          # n_realizations * n_tau * d^3 up to which one job runs a field
+_ROW_BLOCK = 64                  # rows of the triangular factor per GEMM in the tau kernel
 
 # Thread-count setters an OpenBLAS build may export, by symbol suffix and
 # vendor prefix (numpy and scipy wheels each bundle a prefixed copy).
@@ -216,11 +233,15 @@ def _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi):
     h2, h0 = hamiltonian.block_hamiltonians(params, bath)
     nb = h0.shape[0]
     d = 2 * nb
+    # Each block is freed once eigendecomposed; h2's eigensolve is the
+    # engine's memory peak, so h0 goes first.
+    e0 = np.linalg.eigvalsh(h0)
+    del h0
     f2, v2 = hamiltonian.eigensolve(h2)
+    del h2
     if np.any(v2.imag):
         raise ClockspinError("the eigenvectors of the real-frame block are not real")
     v2 = np.ascontiguousarray(v2.real)
-    e0 = np.linalg.eigvalsh(h0)
 
     beta_h = constants.PLANCK / (constants.KBOLTZ * seq.temperature)
     e_ref = min(f2.min(), e0.min())
@@ -228,20 +249,20 @@ def _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi):
     z_total = w2.sum() + np.exp(-beta_h * (e0 - e_ref)).sum()
     w2 /= z_total
 
-    p_half = v2.T @ _block_pulse(phi_half, nb) @ v2
-    p_pi = v2.T @ _block_pulse(phi_pi, nb) @ v2
-
     # Half-rank identity (module docstring), with D = diag(exp(-i 2 pi f tau)):
     #   echo = 2 ||V_up D P_pi D L||_F^2 - sum(w),  Pi_up = V_up^T V_up,
-    # evaluated transposed, as ||L^T D P_pi^T D V_up^T||_F^2.  Every matrix but
-    # D is real, and a chunk's operand x is (d x nt d/2) complex, so each
-    # product is one real (d x d) @ (d x nt d) GEMM on x's float64 view: 2 d^3
-    # real multiply-adds per tau point.  Chunks are sized by the bytes of that
+    # evaluated transposed, as ||T D P_pi^T D V_up^T||_F^2 with T the triangular
+    # QR factor of L^T.  Every matrix but D is real, and a chunk's operand x is
+    # (d x nt d/2) complex, so each product is a real GEMM on x's float64 view:
+    # one (d x d) @ (d x nt d) for P_pi^T, and one per block of _ROW_BLOCK rows
+    # of T, from its diagonal on.  Chunks are sized by the bytes of the
     # operand, and none holds a single tau point unless the grid does
     # (_tau_chunk, module docstring).
     v_up_t = np.ascontiguousarray(v2[:nb, :].T)[:, None, :]         # (d, 1, d/2)
-    l_t = (p_half * np.sqrt(w2)).T
-    p_pi_t = p_pi.T
+    p_pi_t = v2.T @ _block_pulse(phi_pi, nb).T @ v2
+    t_half = np.linalg.qr(np.sqrt(w2)[:, None] * (v2.T @ _block_pulse(phi_half, nb).T @ v2),
+                          mode="r")
+    rows = range(0, d, _ROW_BLOCK)
     intensity = np.empty(tau.size)
     n_chunks = max(1, tau.size // _tau_chunk(d))
     bounds = [tau.size * k // n_chunks for k in range(n_chunks + 1)]
@@ -252,9 +273,13 @@ def _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi):
         x = (u * v_up_t).reshape(d, -1).view(float)
         x = (p_pi_t @ x).view(complex).reshape(d, nt, nb)           # GEMM 1
         x *= u
-        x = (l_t @ x.reshape(d, -1).view(float)).reshape(d, nt, d)  # GEMM 2
-        intensity[start:stop] = 2.0 * np.einsum("ktj,ktj->t", x, x)
-        del x           # before the next chunk's operand is built
+        x = x.reshape(d, -1).view(float)
+        power = np.zeros(nt)
+        for r in rows:                                              # GEMM 2, by row block
+            y = (t_half[r:r + _ROW_BLOCK, r:] @ x[r:]).reshape(-1, nt, d)
+            power += np.einsum("ktj,ktj->t", y, y)
+        intensity[start:stop] = 2.0 * power
+        del x, y        # before the next chunk's operand is built
     intensity -= w2.sum()
     return intensity
 

@@ -101,18 +101,22 @@ def reference_echo(params: ModelParams, bath, seq, phi_half: float,
 
     The thermal state and the pulses come from ``scipy.linalg.expm``; each
     delay is the phase map ``exp(-i 2 pi (f_j - f_k) tau)`` in the eigenbasis
-    of a full-space ``eigh``.  The pulse angles are inputs, so the block
-    engine's calibrated angles can be replayed here.
+    of a full-space ``eigh``.  The thermal state is ``exp(-beta (H - f_0))``
+    normalized, f_0 the lowest level: the same state as ``exp(-beta H)``, but
+    finite at any temperature (unshifted, it overflows below about 1.3 mK).
+    The pulse angles are inputs, so the block engine's calibrated angles can
+    be replayed here.
     """
     from scipy.linalg import expm       # kept off the run path of echo and sweep
 
     h = reference_hamiltonian(params, bath)
     nb = h.shape[0] // 3
-    rho = expm(-constants.PLANCK / (constants.KBOLTZ * seq.temperature) * h)
+    f, v = np.linalg.eigh(h)
+    beta_h = constants.PLANCK / (constants.KBOLTZ * seq.temperature)
+    rho = expm(-beta_h * (h - f[0] * np.eye(h.shape[0])))
     rho /= np.trace(rho).real
     _, _, sz, ac = spinops.spin1_generators()
     p_half, p_pi = (np.kron(expm(0.5j * phi * ac), np.eye(nb)) for phi in (phi_half, phi_pi))
-    f, v = np.linalg.eigh(h)
     rho1 = v.conj().T @ p_half @ rho @ p_half.conj().T @ v
     pulse = v.conj().T @ p_pi @ v
     obs_t = (v.conj().T @ np.kron(sz, np.eye(nb)) @ v).T

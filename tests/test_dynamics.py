@@ -305,6 +305,40 @@ class TestHahnEcho:
                 floor = 1e-11 + 4 * np.pi * eps * f_max * blk.tau
                 assert np.all(np.abs(blk.intensity - full) <= floor), (db, index)
 
+    @pytest.mark.parametrize("temperature, n_underflow", [(1e-3, 0), (10e-6, 8)])
+    def test_low_temperature_within_numerical_floor(self, temperature, n_underflow):
+        # At 10 uK the weights of 8 of the 16 block levels underflow to exactly
+        # 0, so L^T is rank-deficient: its QR factor still holds, where a
+        # Cholesky factor of L L^T would break down.  The reference's thermal
+        # state must stay finite at both temperatures.
+        seq = SequenceConfig(temperature=temperature)
+        beta_h = constants.PLANCK / (constants.KBOLTZ * temperature)
+        eps = np.finfo(float).eps
+        bath = sample_bath(BathSpec(n_nuclei=3), 0)
+        for db in (-5e-3, 0.0, 2e-3):
+            p = ModelParams().at_detuning(db)
+            f2 = np.linalg.eigvalsh(hamiltonian.block_hamiltonians(p, bath)[0])
+            assert np.count_nonzero(np.exp(-beta_h * (f2 - f2.min())) == 0.0) == n_underflow
+            blk = hahn_echo_trace(p, bath, seq)
+            full = replayed_reference(p, bath, seq, blk)
+            f_max = np.max(np.abs(np.linalg.eigvalsh(reference_hamiltonian(p, bath))))
+            floor = 1e-11 + 4 * np.pi * eps * f_max * blk.tau
+            assert np.all(np.abs(blk.intensity - full) <= floor), db
+
+    @pytest.mark.parametrize("detuning", [-2e-3, 2e-3])
+    def test_two_row_blocks_within_numerical_floor(self, detuning):
+        # N = 6 (d = 128) is the smallest bath whose triangular factor the
+        # kernel multiplies in more than one row block
+        assert 2 * 2**6 > dynamics._ROW_BLOCK
+        seq = SequenceConfig()
+        p = ModelParams().at_detuning(detuning)
+        bath = sample_bath(BathSpec(n_nuclei=6), 0)
+        blk = hahn_echo_trace(p, bath, seq)
+        full = replayed_reference(p, bath, seq, blk)
+        f_max = np.max(np.abs(np.linalg.eigvalsh(reference_hamiltonian(p, bath))))
+        floor = 1e-11 + 4 * np.pi * np.finfo(float).eps * f_max * blk.tau
+        assert np.all(np.abs(blk.intensity - full) <= floor)
+
     @pytest.mark.parametrize("detuning", [-5e-3, -1e-3, 0.0, 2e-3, 5e-3, 20e-3])
     def test_bare_electron_matches_closed_form(self, detuning):
         # With no bath the +-1 block is (D/3) 1 + g sz + E sx, g = gamma_e dB,
@@ -415,17 +449,33 @@ class TestTauChunk:
                 fixed = pinned_echo(p, bath, seq, np.pi / 2, np.pi)
                 assert np.array_equal(ruled, fixed), chunk
 
+    def test_one_row_block_gives_the_same_echo(self, monkeypatch):
+        # the triangular factor in one (d x d) GEMM, zeros included, against
+        # the ruled row blocks that skip them, at N = 7 (d = 256, 4 blocks)
+        p = ModelParams().at_detuning(2e-3)
+        bath = n7_bath()
+        seq = SequenceConfig()
+        ruled = pinned_echo(p, bath, seq, np.pi / 2, np.pi)
+        monkeypatch.setattr(dynamics, "_ROW_BLOCK", 2 * 2**7)
+        whole = pinned_echo(p, bath, seq, np.pi / 2, np.pi)
+        f_max = np.max(np.abs(np.linalg.eigvalsh(reference_hamiltonian(p, bath))))
+        floor = 1e-11 + 4 * np.pi * np.finfo(float).eps * f_max * seq.tau_grid()
+        assert np.all(np.abs(ruled - whole) <= floor)
+
     def test_kernel_working_set(self):
-        # At N = 6 (d = 128) a chunk holds 2 tau points, so a (d x 2 d/2) chunk
-        # operand is d^2 complex entries.  At the peak the engine holds, in d^2
-        # complex entries (16 d^2 bytes):
-        # - 3.5 of set-up: h2 (complex, 1), h0 (complex, d/2 x d/2, 0.25), the
-        #   real v2, p_half, p_pi and l_t (0.5 each) and v_up_t (d x d/2, 0.25);
-        # - 2 in the chunk loop: the next chunk's operand u * v_up_t and a d^2
-        #   temporary that numpy allocates while it broadcasts that product (the
-        #   last chunk's result is released before);
-        # - 0.5 for the vectors and small buffers (5.6 in all, measured).
-        # One more complex d x d matrix kept alive exceeds the bound.
+        # At N = 6 (d = 128) the engine peaks while it eigendecomposes h2.  In
+        # d^2 complex entries (16 d^2 bytes) it then holds:
+        # - 1 of input: h2 (complex), freed once eigendecomposed; h0 (complex,
+        #   d/2 x d/2) is eigendecomposed and freed before;
+        # - 3 in eigensolve: eigh's eigenvectors and their phase-fixed copy
+        #   (1 each) and the temporaries that fix the phases (1);
+        # - 0.5 for the vectors and small buffers (4.06 in all, measured).
+        # The chunk loop peaks lower, at 3.85: the real v2, p_pi_t and t_half
+        # (0.5 each), v_up_t (d x d/2, 0.25) and, a chunk holding 2 tau points,
+        # the next chunk's (d x 2 d/2) operand u * v_up_t and the d^2
+        # temporary that numpy allocates while it broadcasts that product (1
+        # each; the last chunk's results are released before).  One more
+        # complex d x d matrix kept alive in either phase exceeds the bound.
         n = 6
         d = 2 * 2**n
         p = ModelParams().at_detuning(2e-3)
@@ -438,7 +488,7 @@ class TestTauChunk:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (3.5 + 2 + 0.5) * d * d * 16
+        assert peak <= (1 + 3 + 0.5) * d * d * 16
 
 
 def _blas_thread_counts():
