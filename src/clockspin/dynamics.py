@@ -44,17 +44,33 @@ need not be eigenvectors where the bath is exactly degenerate.  So V_up,
 P_pi and T are real, and only the delay phases D are complex.  The kernel
 evaluates the norm transposed, ``||T D P_pi^T D V_up^T||_F``, on
 ``(d x nt d/2)`` complex chunk operands: a real matrix multiplies such an
-operand as a real GEMM on its float64 view, without copies.  The product by
-``P_pi^T`` is one d x d GEMM.  The product by T runs in blocks of
-``_ROW_BLOCK`` = 64 rows, each multiplying rows ``r:r+64`` of T from the
-diagonal column r on with rows ``r:`` of the operand, and adds the blocks'
-per-tau sums of squares.  With ``n_b = max(1, d // 64)`` blocks a tau point
-costs ``d^3 (1 + (n_b + 1) / (2 n_b))`` real multiply-adds: 1.625 d^3 at
-N = 7, 1.75 d^3 at N = 6, the 2 d^3 of one full GEMM for d <= 64, and towards
-1.5 d^3 as N grows.  The same two products on complex matrices would cost
-4 d^3.  The height of 64 rows comes from measurement: at N = 7 on one BLAS
-thread of a 2-core host, blocks of 32, 64 and 128 rows ran within 2% of each
-other, and one block of all 256 rows 19% slower.
+operand on its float64 view, without copies.  The product by ``P_pi^T`` is
+one d x d GEMM, d^3 real multiply-adds per tau point.  For d > ``_ROW_BLOCK``
+= 64 (N >= 6) the product by T is one TRMM, the level-3 BLAS triangular
+multiply (Dongarra et al., ACM TOMS 16(1), 1990), which overwrites the
+operand: ``cblas_dtrmm`` of the process's OpenBLAS, found by
+``_openblas_trmm`` once per trace.  It does the ``d^2 (d + 1) / 2``
+multiply-adds of the triangle at about the rate of a full GEMM, so a tau
+point costs about 1.5 d^3 real multiply-adds; the same two products on
+complex matrices would cost 4 d^3.  On one BLAS thread of a 2-core host
+(OpenBLAS 0.3.31), the product by T of a 2-point chunk took 0.60 of one full
+GEMM's time at d = 128 and 0.49 at d = 256.  For d <= 64 the product by T
+stays one full GEMM (2 d^3 in all), and the echo keeps its bits: there TRMM
+gains little or loses (it took an N = 5 trace from 51 to 49 ms, an N = 3
+trace from 2.2 to 3.1 ms).
+
+Where no OpenBLAS exports ``cblas_dtrmm`` (another BLAS, or a platform
+without ``/proc/self/maps``), the product by T for d > 64 runs in blocks of
+64 rows, each multiplying rows ``r:r+64`` of T from the diagonal column r
+on with rows ``r:`` of the operand, and the blocks' per-tau sums of squares
+are added: with ``n_b = d // 64`` blocks a tau point costs
+``d^3 (1 + (n_b + 1) / (2 n_b))``, 1.625 d^3 at N = 7 and 1.75 d^3 at
+N = 6.  The blocks took 0.86 and 0.72 of a full GEMM's time in the
+measurement above.  The height of 64 rows comes from measurement: at N = 7
+on one BLAS thread, blocks of 32, 64 and 128 rows ran within 2% of each
+other, and one block of all 256 rows 19% slower.  TRMM and the blocks round
+differently: their echoes agree within the whole-window floor, not bit for
+bit.
 
 The tau points are evolved in chunks of ``max(2, 8192 // (d/2 * d))`` points,
 sized by the bytes of the chunk's ``(d x nt d/2)`` GEMM operand: about 8192
@@ -80,6 +96,7 @@ while the pool runs on.
 """
 
 import contextlib
+import ctypes
 import multiprocessing
 import os
 import signal
@@ -99,12 +116,11 @@ _MAX_GRID_POINTS = 1_000_000     # largest tau or field grid clockspin builds
 _FIELD_JOB_WORK = 2**30          # n_realizations * n_tau * d^3 up to which one job runs a field
 _ROW_BLOCK = 64                  # rows of the triangular factor per GEMM in the tau kernel
 
-# Thread-count setters an OpenBLAS build may export, by symbol suffix and
-# vendor prefix (numpy and scipy wheels each bundle a prefixed copy).
-_OPENBLAS_SET_THREADS = (
-    "openblas_set_num_threads", "openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
-)
+# The names under which an OpenBLAS build may export a routine: a vendor prefix
+# (numpy and scipy wheels each bundle a prefixed copy) and a symbol suffix, the
+# "64_" of a build with 64-bit integer arguments.
+_OPENBLAS_PREFIXES = ("", "scipy_")
+_OPENBLAS_SUFFIXES = (("", ctypes.c_int), ("64_", ctypes.c_int64))   # suffix, BLAS integer
 
 
 def _whole_steps(steps: float, what: str) -> int:
@@ -253,15 +269,17 @@ def _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi):
     #   echo = 2 ||V_up D P_pi D L||_F^2 - sum(w),  Pi_up = V_up^T V_up,
     # evaluated transposed, as ||T D P_pi^T D V_up^T||_F^2 with T the triangular
     # QR factor of L^T.  Every matrix but D is real, and a chunk's operand x is
-    # (d x nt d/2) complex, so each product is a real GEMM on x's float64 view:
-    # one (d x d) @ (d x nt d) for P_pi^T, and one per block of _ROW_BLOCK rows
-    # of T, from its diagonal on.  Chunks are sized by the bytes of the
-    # operand, and none holds a single tau point unless the grid does
-    # (_tau_chunk, module docstring).
+    # (d x nt d/2) complex, so each product is real on x's float64 view: one
+    # (d x d) @ (d x nt d) GEMM for P_pi^T, then T @ x in place by TRMM where
+    # d > _ROW_BLOCK and the BLAS has it, else one GEMM per block of
+    # _ROW_BLOCK rows of T, from its diagonal on.  Chunks are sized by the
+    # bytes of the operand, and none holds a single tau point unless the grid
+    # does (_tau_chunk, module docstring).
     v_up_t = np.ascontiguousarray(v2[:nb, :].T)[:, None, :]         # (d, 1, d/2)
     p_pi_t = v2.T @ _block_pulse(phi_pi, nb).T @ v2
     t_half = np.linalg.qr(np.sqrt(w2)[:, None] * (v2.T @ _block_pulse(phi_half, nb).T @ v2),
                           mode="r")
+    trmm = _openblas_trmm() if d > _ROW_BLOCK else None
     rows = range(0, d, _ROW_BLOCK)
     intensity = np.empty(tau.size)
     n_chunks = max(1, tau.size // _tau_chunk(d))
@@ -274,10 +292,15 @@ def _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi):
         x = (p_pi_t @ x).view(complex).reshape(d, nt, nb)           # GEMM 1
         x *= u
         x = x.reshape(d, -1).view(float)
-        power = np.zeros(nt)
-        for r in rows:                                              # GEMM 2, by row block
-            y = (t_half[r:r + _ROW_BLOCK, r:] @ x[r:]).reshape(-1, nt, d)
-            power += np.einsum("ktj,ktj->t", y, y)
+        if trmm is not None:
+            trmm(t_half, x)                                         # x <- T x
+            y = x.reshape(d, nt, d)
+            power = np.einsum("ktj,ktj->t", y, y)
+        else:
+            power = np.zeros(nt)
+            for r in rows:                                          # GEMM 2, by row block
+                y = (t_half[r:r + _ROW_BLOCK, r:] @ x[r:]).reshape(-1, nt, d)
+                power += np.einsum("ktj,ktj->t", y, y)
         intensity[start:stop] = 2.0 * power
         del x, y        # before the next chunk's operand is built
     intensity -= w2.sum()
@@ -324,31 +347,74 @@ def _field_job(args, members=None):
     return avg if finish is None else finish(avg)
 
 
-def _openblas_thread_controls():
-    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this
-    process; empty where ``/proc/self/maps`` cannot be read."""
-    import ctypes
-
+def _openblas_routines(*names):
+    """Every OpenBLAS mapped into this process that exports all of ``names``
+    under one prefix and suffix: ``(functions, blas_int)`` per library and
+    variant, ``blas_int`` the ctypes type of its BLAS integers.  Empty where
+    ``/proc/self/maps`` cannot be read."""
     try:
         with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
+            fields = [line.split(maxsplit=5) for line in fh if "openblas" in line]
     except OSError:
         return []
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
-    controls = []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6})
+    found = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:     # the mapped file is gone, e.g. "(deleted)"
             continue
-        for set_name in _OPENBLAS_SET_THREADS:
-            get_name = set_name.replace("_set_", "_get_")
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                controls.append((get_threads, set_threads))
+        for prefix in _OPENBLAS_PREFIXES:
+            for suffix, blas_int in _OPENBLAS_SUFFIXES:
+                functions = [getattr(lib, prefix + name + suffix, None) for name in names]
+                if all(fn is not None for fn in functions):
+                    found.append((functions, blas_int))
+    return found
+
+
+def _openblas_thread_controls():
+    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this
+    process; empty where ``/proc/self/maps`` cannot be read."""
+    controls = []
+    for (get_threads, set_threads), _ in _openblas_routines("openblas_get_num_threads",
+                                                            "openblas_set_num_threads"):
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        controls.append((get_threads, set_threads))
     return controls
+
+
+def _openblas_trmm():
+    """``trmm(t, x)``, which overwrites ``x`` with ``t @ x`` for an upper-triangular
+    ``t``, by ``cblas_dtrmm`` of the first OpenBLAS mapped into this process
+    that exports it; ``None`` where none does.
+
+    ``t`` (m x m) and ``x`` (m x n) must be C-contiguous float64 and ``x``
+    writable; only the upper triangle of ``t`` is read.  A clockspin run maps
+    one OpenBLAS, the one numpy's matmul calls.
+    """
+    routines = _openblas_routines("cblas_dtrmm")
+    if not routines:
+        return None
+    (dtrmm,), blas_int = routines[0]
+    p = ctypes.c_void_p
+    dtrmm.argtypes = [ctypes.c_int] * 5 + [blas_int, blas_int, ctypes.c_double,
+                                           p, blas_int, p, blas_int]
+    dtrmm.restype = None
+
+    def trmm(t, x):
+        for a in (t, x):
+            if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2
+                    and a.flags.c_contiguous):
+                raise ValueError("trmm takes C-contiguous 2-d float64 arrays")
+        m, n = x.shape
+        if t.shape != (m, m) or not x.flags.writeable:
+            raise ValueError(f"trmm takes an (m x m) t and a writable (m x n) x, not "
+                             f"{t.shape} and {x.shape}")
+        if m and n:     # CBLAS enums: row-major, left, upper, no transpose, non-unit
+            dtrmm(101, 141, 121, 111, 131, m, n, 1.0, t.ctypes.data, m, x.ctypes.data, n)
+
+    return trmm
 
 
 @contextlib.contextmanager

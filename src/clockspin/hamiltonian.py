@@ -169,14 +169,13 @@ def block_hamiltonians(params: ModelParams, bath):
 
 
 def canonical_phases(vecs: np.ndarray) -> np.ndarray:
-    """Fix each eigenvector's phase: largest-magnitude component real positive."""
-    out = vecs.copy()
-    idx = np.argmax(np.abs(out), axis=0)
-    for k in range(out.shape[1]):
-        pivot = out[idx[k], k]
+    """Fix each eigenvector's phase in place, column by column: largest-magnitude
+    component real positive.  Returns ``vecs``."""
+    for col in vecs.T:
+        pivot = col[np.argmax(np.abs(col))]
         if abs(pivot) > 0:
-            out[:, k] *= np.conj(pivot) / abs(pivot)
-    return out
+            col *= np.conj(pivot) / abs(pivot)
+    return vecs
 
 
 def eigensolve(h: np.ndarray):

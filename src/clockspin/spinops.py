@@ -44,4 +44,8 @@ def spin_half_generators():
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """Relative Frobenius-norm Hermiticity check (absolute for ~zero input)."""
     scale = max(np.linalg.norm(m), 1.0)
-    return np.linalg.norm(m - m.conj().T) <= tol * scale
+    # conj(m) - m^T, the transpose of m^H - m, in one temporary: np.conjugate
+    # copies, where m.conj() returns m itself for a real m
+    skew = np.conjugate(m)
+    skew -= m.T
+    return np.linalg.norm(skew) <= tol * scale

@@ -450,32 +450,95 @@ class TestTauChunk:
                 assert np.array_equal(ruled, fixed), chunk
 
     def test_one_row_block_gives_the_same_echo(self, monkeypatch):
-        # the triangular factor in one (d x d) GEMM, zeros included, against
-        # the ruled row blocks that skip them, at N = 7 (d = 256, 4 blocks)
+        # the triangular factor by TRMM, in the ruled row blocks that skip its
+        # zero half, and in one (d x d) GEMM, zeros included, at N = 6 and 7
+        # (d = 128 and 256, 2 and 4 blocks): the three agree to the floor
         p = ModelParams().at_detuning(2e-3)
-        bath = n7_bath()
         seq = SequenceConfig()
-        ruled = pinned_echo(p, bath, seq, np.pi / 2, np.pi)
-        monkeypatch.setattr(dynamics, "_ROW_BLOCK", 2 * 2**7)
-        whole = pinned_echo(p, bath, seq, np.pi / 2, np.pi)
-        f_max = np.max(np.abs(np.linalg.eigvalsh(reference_hamiltonian(p, bath))))
-        floor = 1e-11 + 4 * np.pi * np.finfo(float).eps * f_max * seq.tau_grid()
-        assert np.all(np.abs(ruled - whole) <= floor)
+        eps = np.finfo(float).eps
+        for n in (6, 7):
+            bath = sample_bath(BathSpec(n_nuclei=n), 0)
+            with monkeypatch.context() as m:
+                echoes = [pinned_echo(p, bath, seq, np.pi / 2, np.pi)]
+                m.setattr(dynamics, "_openblas_trmm", lambda: None)
+                echoes.append(pinned_echo(p, bath, seq, np.pi / 2, np.pi))
+                m.setattr(dynamics, "_ROW_BLOCK", 2 * 2**n)
+                echoes.append(pinned_echo(p, bath, seq, np.pi / 2, np.pi))
+            f_max = np.max(np.abs(np.linalg.eigvalsh(reference_hamiltonian(p, bath))))
+            floor = 1e-11 + 4 * np.pi * eps * f_max * seq.tau_grid()
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                assert np.all(np.abs(echoes[a] - echoes[b]) <= floor), (n, a, b)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_trmm_lookup_only_above_one_row_block(self, monkeypatch, n):
+        # d <= 64 is one GEMM: the engine never looks TRMM up, so the echo
+        # keeps its bits where none is found; a larger block looks it up once
+        # per trace and, finding none, runs the row blocks
+        p = ModelParams().at_detuning(2e-3)
+        bath = sample_bath(BathSpec(n_nuclei=n), 0)
+        seq = SequenceConfig(tau_max=100e-6 if n <= 5 else 6.5e-6)
+        with dynamics._single_threaded_blas():
+            found = pinned_echo(p, bath, seq, np.pi / 2, np.pi)
+            lookups = []
+            monkeypatch.setattr(dynamics, "_openblas_trmm", lambda: lookups.append(n))
+            missing = pinned_echo(p, bath, seq, np.pi / 2, np.pi)
+        d = 2 * 2**n
+        assert lookups == ([n] if d > dynamics._ROW_BLOCK else [])
+        if d <= dynamics._ROW_BLOCK:
+            assert np.array_equal(found, missing)
+
+    def test_trmm_found_wherever_an_openblas_is(self):
+        # numpy's OpenBLAS wheels export cblas_dtrmm: a lookup that misses it
+        # would silently leave N >= 6 on the slower row blocks
+        if not dynamics._openblas_thread_controls():
+            pytest.skip("no OpenBLAS is loaded")
+        assert dynamics._openblas_trmm() is not None
+
+    def test_trmm_binding(self):
+        trmm = dynamics._openblas_trmm()
+        if trmm is None:
+            pytest.skip("no OpenBLAS exports cblas_dtrmm")
+        rng = np.random.default_rng(3)
+        t = rng.normal(size=(5, 5))
+        x = rng.normal(size=(5, 6))
+        want = np.triu(t) @ x       # the lower triangle of t is never read
+        trmm(t, x)
+        assert np.allclose(x, want, rtol=0, atol=1e-12)
+        read_only = x.copy()
+        read_only.flags.writeable = False
+        refused = [
+            (t, x[:, ::2]),                         # not contiguous
+            (t, np.asfortranarray(x)),
+            (t[:, ::-1], x),
+            (t, x.astype(np.float32)),              # not float64
+            (t, x.astype(complex)),
+            (t.astype(np.float32), x),
+            (t, x[:4]),                             # mis-shaped
+            (t[:4], x[:4]),
+            (t, x[:, 0].copy()),
+            (t[None], x),
+            (t, read_only),
+            (t.tolist(), x),
+        ]
+        for a, b in refused:
+            before = np.array(b, copy=True)
+            with pytest.raises(ValueError):
+                trmm(a, b)
+            assert np.array_equal(np.asarray(b), before)
     def test_kernel_working_set(self):
-        # At N = 6 (d = 128) the engine peaks while it eigendecomposes h2.  In
-        # d^2 complex entries (16 d^2 bytes) it then holds:
-        # - 1 of input: h2 (complex), freed once eigendecomposed; h0 (complex,
-        #   d/2 x d/2) is eigendecomposed and freed before;
-        # - 3 in eigensolve: eigh's eigenvectors and their phase-fixed copy
-        #   (1 each) and the temporaries that fix the phases (1);
-        # - 0.5 for the vectors and small buffers (4.06 in all, measured).
-        # The chunk loop peaks lower, at 3.85: the real v2, p_pi_t and t_half
-        # (0.5 each), v_up_t (d x d/2, 0.25) and, a chunk holding 2 tau points,
-        # the next chunk's (d x 2 d/2) operand u * v_up_t and the d^2
-        # temporary that numpy allocates while it broadcasts that product (1
-        # each; the last chunk's results are released before).  One more
-        # complex d x d matrix kept alive in either phase exceeds the bound.
+        # At N = 6 (d = 128) the engine peaks in its chunk loop.  In d^2
+        # complex entries (16 d^2 bytes) it then holds:
+        # - 1.75 of factors: the real v2, p_pi_t and t_half (0.5 each) and
+        #   v_up_t (d x d/2, 0.25);
+        # - 2 of chunk operands, a chunk holding 2 tau points: the next
+        #   chunk's (d x 2 d/2) operand u * v_up_t and the d^2 temporary that
+        #   numpy allocates while it broadcasts that product, or the operand
+        #   and its product by p_pi_t (1 each; TRMM multiplies by t_half in
+        #   place, and the last chunk's results are released before);
+        # - 0.5 for the vectors and small buffers (3.91 in all, measured).
+        # The eigensolve of h2 peaks lower, at 2.56 (TestEigensolve bounds
+        # it).  One more complex d x d matrix kept alive in the loop exceeds
+        # the bound.
         n = 6
         d = 2 * 2**n
         p = ModelParams().at_detuning(2e-3)
@@ -488,7 +551,7 @@ class TestTauChunk:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (1 + 3 + 0.5) * d * d * 16
+        assert peak <= (1.75 + 2 + 0.5) * d * d * 16
 
 
 def _blas_thread_counts():

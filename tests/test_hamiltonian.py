@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,23 @@ class TestEigensolve:
         resid = np.linalg.norm(h @ vecs - vecs * vals) / np.linalg.norm(h)
         assert resid < 1e-9
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(384)) < 1e-10
+
+    def test_working_set(self):
+        # Besides the N = 6 block h2 (d = 128) eigensolve holds one complex
+        # d x d temporary at a time: is_hermitian's conj(h2) - h2^T (plus half
+        # of one while numpy takes its norm), then eigh's vectors, which are
+        # returned with their phases fixed in place (1.5 in d^2 complex
+        # entries, measured).  A copy of the vectors exceeds the bound.
+        bath = sample_bath(BathSpec(n_nuclei=6), 0)
+        h2, _ = block_hamiltonians(ModelParams().at_detuning(2e-3), bath)
+        d = h2.shape[0]
+        tracemalloc.start()
+        try:
+            eigensolve(h2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 + 0.5 + 0.5) * d * d * 16
 
     def test_canonical_phase_fixing(self):
         rng = np.random.default_rng(1)
