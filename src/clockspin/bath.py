@@ -13,9 +13,10 @@ import numpy as np
 from . import constants
 from .echotrace import EchoTrace
 
-# Largest bath built.  At N = 10 (d = 2048) a trace holds about 6 complex d x d
-# matrices, 384 MiB per worker, and takes on the order of ten minutes; at
-# N = 12 one such matrix is already 1 GiB.
+# Largest bath built.  At N = 10 (d = 2048) the echo engine peaks at 3.8 d^2
+# complex entries (measured at N = 7-9), about 240 MiB per worker, and a
+# trace takes on the order of ten minutes; at N = 12 one complex d x d
+# matrix is already 1 GiB.
 _MAX_NUCLEI = 10
 
 

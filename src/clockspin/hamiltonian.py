@@ -168,28 +168,19 @@ def block_hamiltonians(params: ModelParams, bath):
     return h2, h0
 
 
-def canonical_phases(vecs: np.ndarray) -> np.ndarray:
-    """Fix each eigenvector's phase in place, column by column: largest-magnitude
-    component real positive.  Returns ``vecs``."""
-    for col in vecs.T:
-        pivot = col[np.argmax(np.abs(col))]
-        if abs(pivot) > 0:
-            col *= np.conj(pivot) / abs(pivot)
-    return vecs
-
-
 def eigensolve(h: np.ndarray):
     """Eigendecomposition of a Hermitian operator.
 
     Returns:
-        ``(values, vectors)`` with values ascending and vectors as unitary
-        columns with deterministic phases.
+        ``(values, vectors)`` from ``np.linalg.eigh``: values ascending,
+        vectors as unitary columns with the phases LAPACK gives them.  No
+        caller depends on those phases: the echo is a norm, and calibration
+        and the checks use magnitudes of overlaps.
     """
     h = np.asarray(h)
     if not spinops.is_hermitian(h, tol=1e-10):
         raise ValueError("eigensolve requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(h)
-    return vals, canonical_phases(vecs)
+    return np.linalg.eigh(h)
 
 
 def clock_frequency_curve(p: ModelParams, b_grid) -> ElectronSpectrum:

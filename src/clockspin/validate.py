@@ -99,33 +99,39 @@ def reference_echo(params: ModelParams, bath, seq, phi_half: float,
                    phi_pi: float) -> np.ndarray:
     """Echo on ``seq.tau_grid()`` by dense density-matrix evolution on the full space.
 
-    The thermal state and the pulses come from ``scipy.linalg.expm``; each
-    delay is the phase map ``exp(-i 2 pi (f_j - f_k) tau)`` in the eigenbasis
-    of a full-space ``eigh``.  The thermal state is ``exp(-beta (H - f_0))``
-    normalized, f_0 the lowest level: the same state as ``exp(-beta H)``, but
-    finite at any temperature (unshifted, it overflows below about 1.3 mK).
-    The pulse angles are inputs, so the block engine's calibrated angles can
-    be replayed here.
+    Everything is written in the eigenbasis of one full-space ``eigh`` of
+    ``reference_hamiltonian``.  There the thermal state is diagonal, with
+    weights ``exp(-beta (f - f_0))`` normalized, f_0 the lowest level: the
+    same state as ``exp(-beta H)``, but finite at any temperature (unshifted,
+    it overflows below about 1.3 mK).  Each pulse ``exp[i phi {Sx,Sy}/2]``
+    comes from an eigendecomposition of the 3 x 3 generator {Sx,Sy}, not
+    from the engine's closed form, and each delay is the phase map
+    ``exp(-i 2 pi (f_j - f_k) tau)``.  The pulse angles are inputs, so the
+    block engine's calibrated angles can be replayed here.
     """
-    from scipy.linalg import expm       # kept off the run path of echo and sweep
-
     h = reference_hamiltonian(params, bath)
     nb = h.shape[0] // 3
     f, v = np.linalg.eigh(h)
     beta_h = constants.PLANCK / (constants.KBOLTZ * seq.temperature)
-    rho = expm(-beta_h * (h - f[0] * np.eye(h.shape[0])))
-    rho /= np.trace(rho).real
+    w = np.exp(-beta_h * (f - f[0]))
+    w /= w.sum()
     _, _, sz, ac = spinops.spin1_generators()
-    p_half, p_pi = (np.kron(expm(0.5j * phi * ac), np.eye(nb)) for phi in (phi_half, phi_pi))
-    rho1 = v.conj().T @ p_half @ rho @ p_half.conj().T @ v
-    pulse = v.conj().T @ p_pi @ v
+    lam, q = np.linalg.eigh(ac)
+
+    def pulse(phi):
+        """``exp[i phi {Sx,Sy}/2] (x) 1`` in the eigenbasis of h."""
+        p = (q * np.exp(0.5j * phi * lam)) @ q.conj().T
+        return v.conj().T @ np.kron(p, np.eye(nb)) @ v
+
+    p_half, p_pi = pulse(phi_half), pulse(phi_pi)
+    rho1 = (p_half * w) @ p_half.conj().T
     obs_t = (v.conj().T @ np.kron(sz, np.eye(nb)) @ v).T
     tau = seq.tau_grid()
     echo = np.empty(tau.size)
     for i, t in enumerate(tau):
         u = np.exp(-2j * np.pi * f * t)
         delay = np.outer(u, u.conj())
-        rho2 = delay * (pulse @ (delay * rho1) @ pulse.conj().T)
+        rho2 = delay * (p_pi @ (delay * rho1) @ p_pi.conj().T)
         echo[i] = np.sum(rho2 * obs_t).real
     return echo
 

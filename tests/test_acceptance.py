@@ -140,8 +140,9 @@ def test_criterion_2_projection_mappings():
 
 
 def test_criterion_3_propagator_oracle():
-    # block engine against the dense full-space reference (expm thermal state
-    # and pulses, eigh delays) on 20 random baths, N = 1-3, |dB| <= 5 mT
+    # block engine against the dense full-space reference (thermal state,
+    # pulses and delays in the eigenbasis of one full-space eigh) on 20
+    # random baths, N = 1-3, |dB| <= 5 mT
     start = time.perf_counter()
     result = validate.check_propagator_oracle(seed=2718)
     worst = result.residual

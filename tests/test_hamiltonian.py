@@ -11,7 +11,6 @@ from clockspin.hamiltonian import (
     bath_hamiltonian_matrix,
     block_hamiltonians,
     build_electronic,
-    canonical_phases,
     clock_frequency_curve,
     eigensolve,
     project_fictitious,
@@ -264,8 +263,8 @@ class TestEigensolve:
         # Besides the N = 6 block h2 (d = 128) eigensolve holds one complex
         # d x d temporary at a time: is_hermitian's conj(h2) - h2^T (plus half
         # of one while numpy takes its norm), then eigh's vectors, which are
-        # returned with their phases fixed in place (1.5 in d^2 complex
-        # entries, measured).  A copy of the vectors exceeds the bound.
+        # returned as eigh gives them (1.5 in d^2 complex entries, measured).
+        # A copy of the vectors exceeds the bound.
         bath = sample_bath(BathSpec(n_nuclei=6), 0)
         h2, _ = block_hamiltonians(ModelParams().at_detuning(2e-3), bath)
         d = h2.shape[0]
@@ -276,18 +275,6 @@ class TestEigensolve:
         finally:
             tracemalloc.stop()
         assert peak <= (1 + 0.5 + 0.5) * d * d * 16
-
-    def test_canonical_phase_fixing(self):
-        rng = np.random.default_rng(1)
-        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = m + m.conj().T
-        _, vecs = eigensolve(h)
-        fixed = canonical_phases(vecs)
-        idx = np.argmax(np.abs(fixed), axis=0)
-        for k in range(6):
-            pivot = fixed[idx[k], k]
-            assert pivot.imag == pytest.approx(0.0, abs=1e-14)
-            assert pivot.real > 0
 
 
 class TestClockFrequencyCurve:
