@@ -119,8 +119,9 @@ def dipolar_strength(r: float, mu1: float, mu2: float, geometry: str) -> float:
 
 
 def ensemble_average(traces) -> EchoTrace:
-    """Pointwise mean of echo traces sharing one tau grid.  The meta drops the
-    members' ``bath_index`` and ``a_sc_hz``; ``ensemble`` has each seed and index."""
+    """Pointwise mean of echo traces sharing one tau grid.  The meta is the
+    first member's, by ``(seed, index)``, without its ``bath_index`` and
+    ``a_sc_hz``; ``ensemble`` lists each member's seed and index in that order."""
     traces = list(traces)
     if not traces:
         raise ValueError("no traces to average")
@@ -128,14 +129,14 @@ def ensemble_average(traces) -> EchoTrace:
     for t in traces[1:]:
         if t.tau.shape != tau.shape or not np.array_equal(t.tau, tau):
             raise ValueError("tau grids differ between ensemble members")
-    # Canonical member order makes the floating-point mean exactly
-    # permutation-invariant.
-    order = sorted(range(len(traces)), key=lambda i: traces[i].intensity.tobytes())
-    stack = np.stack([traces[i].intensity for i in order])
-    meta = {k: v for k, v in traces[0].meta.items() if k not in ("bath_index", "a_sc_hz")}
-    meta["ensemble"] = [
-        {"seed": traces[i].meta.get("bath_seed"), "index": traces[i].meta.get("bath_index")}
-        for i in order
-    ]
+    # Summing in the order of the intensity bytes makes the floating-point
+    # mean exactly permutation-invariant; the members are listed by their
+    # labels, so a last-bit change in a trace does not reorder them.
+    stack = np.stack(sorted((t.intensity for t in traces), key=np.ndarray.tobytes))
+    members = [{"seed": t.meta.get("bath_seed"), "index": t.meta.get("bath_index")}
+               for t in traces]
+    order = sorted(range(len(traces)), key=lambda i: (members[i]["seed"], members[i]["index"]))
+    meta = {k: v for k, v in traces[order[0]].meta.items() if k not in ("bath_index", "a_sc_hz")}
+    meta["ensemble"] = [members[i] for i in order]
     meta["n_realizations"] = len(traces)
     return EchoTrace(tau=tau.copy(), intensity=stack.mean(axis=0), meta=meta)

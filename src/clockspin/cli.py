@@ -81,7 +81,7 @@ def cmd_zeeman(args) -> int:
     return 0
 
 
-def _field_job(cfg, db_mt, trace_csv, trace_json, spectrum_csv, trace):
+def _finish_field(cfg, db_mt, trace_csv, trace_json, spectrum_csv, trace):
     """Write one field's trace, sidecar and spectrum and analyse it; return
     ``(B0, fit, peaks, bin_width)`` for the command's summary files."""
     trace.write_csv(trace_csv)
@@ -110,8 +110,8 @@ def cmd_echo(args) -> int:
     with _run_directory(cfg, "echo", detuning_mT=cfg.detuning_mt) as result:
         (avg,) = dynamics.field_sweep(cfg.model, cfg.bath, cfg.sequence,
                                       [cfg.detuning_mt * 1e-3], jobs=cfg.jobs)
-        b0, fit, peaks, bin_width = _field_job(cfg, cfg.detuning_mt, result("trace.csv"),
-                                               result("trace.json"), result("spectrum.csv"), avg)
+        b0, fit, peaks, bin_width = _finish_field(cfg, cfg.detuning_mt, result("trace.csv"),
+                                                  result("trace.json"), result("spectrum.csv"), avg)
         analysis.subtract_background(avg, fit).write_csv(result("residual.csv"))
         # peak_map emits a row at the exact frequency of every peak
         labels = {r.freq: r.label
@@ -140,7 +140,7 @@ def cmd_sweep(args) -> int:
         for db_mt in grid_mt:
             tag = f"{db_mt:+08.3f}mT"
             finish.append(functools.partial(
-                _field_job, cfg, db_mt, result(f"trace_{tag}.csv"),
+                _finish_field, cfg, db_mt, result(f"trace_{tag}.csv"),
                 result(f"trace_{tag}.json"), result(f"spectrum_{tag}.csv")))
         fields = dynamics.field_sweep(cfg.model, cfg.bath, cfg.sequence, grid_mt * 1e-3,
                                       jobs=cfg.jobs, finish=finish)

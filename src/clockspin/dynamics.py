@@ -4,9 +4,10 @@ All phase evolution uses ``exp(-i 2 pi f tau)`` with Hamiltonians in Hz.  The
 two-pulse sequence is ``P(phi_half) - tau - P(phi_pi) - tau - readout`` with
 instantaneous pulses ``exp[i phi {Sx,Sy}/2]`` acting on the electron only, and
 the echo observable is the full-system expectation of the embedded Sz at the
-readout time 2*tau.  The angles are not a setting: ``hahn_echo_trace`` calibrates
-them for its field (``calibrate_pulses``, by ``solvers.brentq``) and records
-them in the trace's sidecar.
+readout time 2*tau.  On the +-1 doublet a pulse is a real rotation about y,
+``_doublet_pulse``, and it leaves m_S = 0 alone.  The angles are not a setting:
+``hahn_echo_trace`` calibrates them for its field on the doublet alone
+(``calibrate_pulses``) and records them in the trace's sidecar.
 
 The production engine exploits an exact structural property of the model:
 nothing in H_tot, the pulses or the observable couples the ``m_S = 0`` electron
@@ -107,7 +108,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from . import bath as bath_mod
-from . import constants, hamiltonian, solvers, spinops
+from . import constants, hamiltonian, solvers
 from .echotrace import EchoTrace
 from .errors import CalibrationError, ClockspinError
 from .hamiltonian import ModelParams
@@ -160,52 +161,48 @@ class SequenceConfig:
         return self.tau_step * np.arange(1, round(self.tau_max / self.tau_step) + 1)
 
 
-# The pulse generator J = {Sx,Sy} and the projector P onto m_S = +-1.
-_PULSE_J = spinops.spin1_generators()[3]
-_PULSE_P = np.diag([1.0, 0.0, 1.0]).astype(complex)
-_EYE3 = np.eye(3, dtype=complex)
-
-
-def _electron_pulse(phi: float) -> np.ndarray:
-    """3x3 unitary ``exp[i phi {Sx,Sy}/2]`` in closed form.
-
-    The generator J = {Sx,Sy} satisfies J^2 = P and J^3 = J with P the
-    projector onto the m_S = +-1 subspace, so the exponential is
-    ``1 + (cos(phi/2) - 1) P + i sin(phi/2) J``.
-    """
-    return _EYE3 + (np.cos(phi / 2.0) - 1.0) * _PULSE_P + 1j * np.sin(phi / 2.0) * _PULSE_J
+def _doublet_pulse(phi: float) -> np.ndarray:
+    """The pulse ``exp[i phi {Sx,Sy}/2]`` on the (+1, -1) doublet: the real
+    rotation ``exp[i phi sigma_y / 2]``.  It leaves m_S = 0 alone."""
+    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    return np.array([[c, s], [-s, c]])
 
 
 def calibrate_pulses(h_electronic: np.ndarray):
-    """Pulse angles for the two lowest electronic eigenstates.
+    """Pulse angles ``(phi_half, phi_pi)`` for the two lowest electronic eigenstates.
 
-    On the +-1 doublet the pulse is the rotation ``exp[i phi sigma_y / 2]``,
-    so the transfer between the two lowest eigenstates is sin^2(phi/2) when
-    both lie in that doublet, and phi_pi = pi in closed form.  phi_half, which
-    equalizes the two populations starting from the ground state, is
-    bracketed in ``[1e-6, pi]`` and found by ``solvers.brentq`` to within
-    ``1e-4``: Brent's method as scipy's ``brentq`` runs it, to the same double.
-
-    Returns:
-        ``(phi_half, phi_pi)`` with ``phi_pi = pi``.
+    Reads only what ``hamiltonian.block_hamiltonians`` takes from the 3 x 3
+    ``h_electronic``: the +-1 doublet and the m_S = 0 level.  The pulse never
+    touches m_S = 0, so it drives the two lowest states exactly when that level
+    lies above the doublet's upper one: for ``build_electronic``, when
+    ``sqrt(E^2 + (gamma_e dB)^2) < -D``, below 639.63 mT of detuning at the
+    defaults.  There the transfer from the doublet's ground state is
+    sin^2(phi/2), so phi_pi = pi, and phi_half, which equalizes the two
+    populations, is found in ``[1e-6, pi]`` by ``solvers.brentq`` to within
+    ``1e-4`` (scipy's ``brentq``, to the same double).
 
     Raises:
-        CalibrationError: if the pi pulse moves less than half the population
-            (an m_S = 0 level is among the two lowest states).
+        ValueError: for input not 3 x 3 Hermitian, or that couples m_S = 0 to the doublet.
+        CalibrationError: if the m_S = 0 level is not above the doublet's upper level.
     """
-    _, vecs = hamiltonian.eigensolve(h_electronic)
+    h = np.asarray(h_electronic)
+    if h.shape != (3, 3) or not (max(np.linalg.norm(h - h.conj().T), np.linalg.norm(h[1, [0, 2]]))
+                                 <= 1e-10 * max(np.linalg.norm(h), 1.0)):
+        raise ValueError("calibrate_pulses takes a 3 x 3 Hermitian Hamiltonian that does not "
+                         "couple m_S = 0 to the +-1 doublet")
+    levels, vecs = np.linalg.eigh(h[np.ix_([0, 2], [0, 2])])
+    level_0 = h[1, 1].real
+    if not level_0 > levels[1]:
+        raise CalibrationError(
+            f"the m_S = 0 level ({level_0 * 1e-9:.6g} GHz) is not above the +-1 doublet's "
+            f"upper level ({levels[1] * 1e-9:.6g} GHz), so no pulse drives the two lowest states")
     g, e = vecs[:, 0], vecs[:, 1]
-    phi_pi = np.pi
-    transfer = abs(e.conj() @ _electron_pulse(phi_pi) @ g) ** 2
-    if transfer < 0.5:
-        raise CalibrationError(f"maximum population transfer {transfer:.3f} < 0.5")
 
     def imbalance(phi):
-        psi = _electron_pulse(phi) @ g
+        psi = _doublet_pulse(phi) @ g
         return abs(e.conj() @ psi) ** 2 - abs(g.conj() @ psi) ** 2
 
-    phi_half = solvers.brentq(imbalance, 1e-6, phi_pi, xtol=1e-4)
-    return phi_half, phi_pi
+    return solvers.brentq(imbalance, 1e-6, np.pi, xtol=1e-4), np.pi
 
 
 def _trace_meta(params, bath, seq, phi_half, phi_pi):
@@ -234,9 +231,8 @@ def _trace_meta(params, bath, seq, phi_half, phi_pi):
 
 
 def _block_pulse(phi: float, nb: int) -> np.ndarray:
-    """Pulse restricted to the {up,down} block: exp[i phi sigma_y / 2] (x) 1, a real matrix."""
-    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    return np.kron(np.array([[c, s], [-s, c]]), np.eye(nb))
+    """Pulse restricted to the {up,down} block: ``_doublet_pulse(phi) (x) 1``, a real matrix."""
+    return np.kron(_doublet_pulse(phi), np.eye(nb))
 
 
 def _tau_chunk(d: int) -> int:

@@ -174,8 +174,8 @@ def eigensolve(h: np.ndarray):
     Returns:
         ``(values, vectors)`` from ``np.linalg.eigh``: values ascending,
         vectors as unitary columns with the phases LAPACK gives them.  No
-        caller depends on those phases: the echo is a norm, and calibration
-        and the checks use magnitudes of overlaps.
+        caller depends on those phases: the echo is a norm, and the checks
+        use magnitudes of overlaps.
     """
     h = np.asarray(h)
     if not spinops.is_hermitian(h, tol=1e-10):

@@ -1,6 +1,6 @@
-"""Test-only helpers: closed-form oracles, the real frame of the +-1 block, a
-modulation-depth measure, a text round trip for bath realizations and a
-hypothesis strategy for baths."""
+"""Test-only helpers: closed-form oracles, the 3 x 3 electron pulse by
+``expm``, the real frame of the +-1 block, a modulation-depth measure, a text
+round trip for bath realizations and a hypothesis strategy for baths."""
 
 import json
 
@@ -11,6 +11,7 @@ from clockspin.analysis import DecayFit
 from clockspin.bath import BathRealization
 from clockspin.echotrace import EchoTrace
 from clockspin.hamiltonian import ModelParams
+from clockspin.spinops import spin1_generators
 
 
 def bath_to_json(r: BathRealization) -> str:
@@ -72,6 +73,14 @@ def ct_curvature(p: ModelParams) -> float:
     the far-field slope 2*gamma_e.
     """
     return 4.0 * p.gamma_e**2 / (2.0 * abs(p.E))
+
+
+def electron_pulse(phi: float) -> np.ndarray:
+    """The 3 x 3 pulse ``exp[i phi {Sx,Sy}/2]`` by ``scipy.linalg.expm``, an
+    oracle independent of the library's doublet rotation."""
+    from scipy.linalg import expm      # test extra; importing support needs no scipy
+
+    return expm(1j * phi * spin1_generators()[3] / 2)
 
 
 def real_frame(h: np.ndarray, n: int) -> np.ndarray:

@@ -168,6 +168,26 @@ class TestEnsembleAverage:
         assert avg.meta["n_realizations"] == 3
         assert [m["index"] for m in avg.meta["ensemble"]] == [0, 1, 2]
 
+    def test_members_are_listed_by_seed_and_index(self):
+        # the intensity bytes order these members 1, 2, 0 and their labels
+        # 2, 0, 1; the list follows the labels
+        traces = [make_trace([v], seed=s, index=i)
+                  for v, s, i in [(1.0, 5, 0), (-0.0, 5, 1), (0.5, 3, 7)]]
+        assert sorted(range(3), key=lambda k: traces[k].intensity.tobytes()) == [1, 2, 0]
+        avg = ensemble_average(traces)
+        assert avg.meta["ensemble"] == [{"seed": 3, "index": 7}, {"seed": 5, "index": 0},
+                                        {"seed": 5, "index": 1}]
+
+    def test_permutation_gives_equal_meta(self):
+        rng = np.random.default_rng(1)
+        traces = [make_trace(rng.normal(size=4), seed=9, index=i) for i in range(5)]
+        for t in traces:
+            t.meta["a_sc_hz"] = [7e6 + t.meta["bath_index"]]
+        metas = [ensemble_average([traces[k] for k in perm]).meta
+                 for perm in (range(5), [3, 1, 4, 0, 2], [4, 3, 2, 1, 0])]
+        assert metas[0] == metas[1] == metas[2]
+        assert [m["index"] for m in metas[0]["ensemble"]] == [0, 1, 2, 3, 4]
+
     def test_average_keeps_no_member_bath(self):
         traces = [make_trace([float(i)], seed=5, index=i) for i in range(3)]
         for t in traces:

@@ -311,19 +311,22 @@ class TestInputContract:
         assert capsys.readouterr().err.splitlines() == [f"clockspin: usage error: {message}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--start-mT", "0", "--stop-mT", "700", "--step-mT", "350"],
-        ["echo", "--detuning-mT", "700"],
-    ], ids=" ".join)
+    @pytest.mark.parametrize("argv, upper", [
+        pytest.param(argv, upper, id=" ".join(argv)) for argv, upper in [
+            (["sweep", "--start-mT", "0", "--stop-mT", "700", "--step-mT", "350"], "34.2062"),
+            (["echo", "--detuning-mT", "700"], "34.2062"),
+            (["echo", "--detuning-mT", "639.7"], "30.0045"),
+        ]])
     def test_unreachable_field_is_numerical_failure_before_the_run(self, tmp_path, capsys,
-                                                                   n2_config, argv):
-        # past ~0.64 T an m_S = 0 level is among the two lowest states, so no
-        # pulse moves half the population; refused before any trace runs
+                                                                   n2_config, argv, upper):
+        # past 639.63 mT an m_S = 0 level is among the two lowest states, which
+        # no pulse drives; refused before any trace runs
         out = tmp_path / "bad"
         rc = main(argv + ["--config", str(n2_config), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
-            "clockspin: numerical failure: maximum population transfer 0.000 < 0.5"]
+            "clockspin: numerical failure: the m_S = 0 level (30 GHz) is not above the +-1 "
+            f"doublet's upper level ({upper} GHz), so no pulse drives the two lowest states"]
         assert not out.exists()
 
     def test_grid_at_point_limit_is_built(self):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -12,7 +12,7 @@ from clockspin import constants, dynamics, hamiltonian
 from clockspin.bath import BathRealization, BathSpec, sample_bath
 from clockspin.dynamics import (
     SequenceConfig,
-    _electron_pulse,
+    _doublet_pulse,
     calibrate_pulses,
     field_sweep,
     hahn_echo_trace,
@@ -21,7 +21,7 @@ from clockspin.errors import CalibrationError, ClockspinError
 from clockspin.hamiltonian import ModelParams, build_electronic, eigensolve
 from clockspin.spinops import spin1_generators
 from clockspin.validate import reference_echo, reference_hamiltonian
-from support import drawn_baths, real_frame
+from support import drawn_baths, electron_pulse, real_frame
 
 
 def single_proton(a_sc=1e6, a_psc=0.5e6):
@@ -222,49 +222,61 @@ class TestDenseReference:
             assert np.all(dev <= floor)
 
 
+PM = [0, 2]     # the +-1 doublet in the (+1, 0, -1) basis
+
+
 class TestPulseOperator:
+    # against the expm oracle: exp[i phi {Sx,Sy}/2] is _doublet_pulse(phi) on
+    # the doublet and leaves m_S = 0 alone
     def test_zero_angle_is_identity(self):
-        assert np.allclose(_electron_pulse(0.0), np.eye(3))
+        assert np.array_equal(_doublet_pulse(0.0), np.eye(2))
 
     def test_unitary(self):
-        u = _electron_pulse(0.7)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(3)) < 1e-10
+        u = _doublet_pulse(0.7)
+        assert u.dtype == float
+        assert np.linalg.norm(u.T @ u - np.eye(2)) < 1e-15
 
     def test_one_parameter_group(self):
         a, b = 0.3, 1.1
-        lhs = _electron_pulse(a) @ _electron_pulse(b)
-        assert np.max(np.abs(lhs - _electron_pulse(a + b))) < 1e-12
+        lhs = _doublet_pulse(a) @ _doublet_pulse(b)
+        assert np.max(np.abs(lhs - _doublet_pulse(a + b))) < 1e-15
 
     def test_matches_matrix_exponential(self):
-        _, _, _, ac = spin1_generators()
         for phi in (0.2, np.pi / 2, np.pi, 2.5):
-            oracle = expm(1j * phi * ac / 2)
-            assert np.max(np.abs(_electron_pulse(phi) - oracle)) < 1e-12
+            oracle = electron_pulse(phi)
+            assert np.max(np.abs(oracle[np.ix_(PM, PM)] - _doublet_pulse(phi))) < 1e-12
+            assert np.max(np.abs(oracle[1] - [0, 1, 0])) < 1e-15
+            assert np.max(np.abs(oracle[:, 1] - [0, 1, 0])) < 1e-15
 
     def test_ct_subspace_rotation(self):
-        # on the CT doublet the pulse acts as exp(-i phi sigma_y / 2): a Bloch
-        # rotation by phi about y
-        basis = np.array([[1, 1], [0, 0], [1, -1]], dtype=complex) / np.sqrt(2)
+        # on the CT doublet (|+>, |->) the pulse acts as exp(-i phi sigma_y / 2):
+        # a Bloch rotation by phi about y
+        basis = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         sigma_y = np.array([[0, -1j], [1j, 0]])
         for phi in (0.4, np.pi / 2, np.pi):
-            block = basis.conj().T @ _electron_pulse(phi) @ basis
+            block = basis.T @ _doublet_pulse(phi) @ basis
             oracle = expm(-1j * phi * sigma_y / 2)
             assert np.max(np.abs(block - oracle)) < 1e-12
+
+
+def transfer_3x3(h, phi):
+    """Population moved by the expm pulse between the two lowest eigenstates
+    of the 3 x 3 ``h``: the refusal rule that the doublet's closed form replaced."""
+    _, vecs = eigensolve(h)
+    return abs(vecs[:, 1].conj() @ electron_pulse(phi) @ vecs[:, 0]) ** 2
 
 
 class TestCalibratePulses:
     def test_ct_angles_match_rabi_oracle(self):
         # transfer(phi) = sin^2(phi/2), so phi_pi = pi and phi_half = pi/2
         phi_half, phi_pi = calibrate_pulses(build_electronic(ModelParams()))
-        assert phi_pi == pytest.approx(np.pi, abs=1e-4)
+        assert phi_pi == np.pi
         assert phi_half == pytest.approx(np.pi / 2, abs=1e-4)
 
     def test_transfer_is_complete_at_phi_pi(self):
         h = build_electronic(ModelParams().at_detuning(3e-3))
-        vals, vecs = eigensolve(h)
         _, phi_pi = calibrate_pulses(h)
-        u = _electron_pulse(phi_pi)
-        assert abs(vecs[:, 1].conj() @ u @ vecs[:, 0]) ** 2 == pytest.approx(1.0, abs=1e-8)
+        assert transfer_3x3(h, phi_pi) == pytest.approx(1.0, abs=1e-8)
 
     def test_angles_smooth_in_field(self):
         p = ModelParams()
@@ -277,10 +289,28 @@ class TestCalibratePulses:
 
     def test_unreachable_transition_raises(self):
         # the echo pulse cannot drive population into or out of m_S = 0:
-        # past ~0.64 T it is the second eigenstate, and for D > 0 the ground state
+        # past 639.63 mT it is the second eigenstate, and for D > 0 the ground state
         for params in (ModelParams().at_detuning(0.7), ModelParams(D=45e9)):
             with pytest.raises(CalibrationError):
                 calibrate_pulses(build_electronic(params))
+
+    def test_reachability_boundary_at_the_defaults(self):
+        # sqrt(E^2 + (gamma_e dB)^2) < -D up to dB = sqrt(D^2 - E^2) / gamma_e,
+        # 639.635 mT
+        p = ModelParams()
+        assert np.sqrt(p.D**2 - p.E**2) / p.gamma_e == pytest.approx(0.639635, abs=1e-6)
+        assert calibrate_pulses(build_electronic(p.at_detuning(0.6396)))[1] == np.pi
+        with pytest.raises(CalibrationError, match=r"m_S = 0 level \(30 GHz\) is not above"):
+            calibrate_pulses(build_electronic(p.at_detuning(0.6397)))
+
+    @pytest.mark.parametrize("h", [
+        np.eye(2), np.eye(4), np.diag([1.0, 2.0, 3.0]) + np.triu(np.ones((3, 3)), 1),
+        np.diag([1.0, 2.0, 3.0]) + 1e-3 * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+        np.diag([1.0, 2.0, np.nan]),
+    ], ids=["2x2", "4x4", "not-hermitian", "couples-m0", "nan"])
+    def test_refuses_what_is_not_a_doublet_and_a_level(self, h):
+        with pytest.raises(ValueError):
+            calibrate_pulses(h)
 
     @settings(deadline=None)
     @given(sign=st.sampled_from([-1.0, 1.0]), d=st.floats(1e9, 1e11),
@@ -288,17 +318,16 @@ class TestCalibratePulses:
            detuning=st.floats(-1.0, 1.0))
     def test_pi_maximizes_transfer(self, sign, d, e_ratio, gamma_e, detuning):
         # the two lowest states are both in the +-1 doublet (transfer
-        # sin^2(phi/2)) or one is m_S = 0 (transfer 0): pi is a maximum
-        # either way, and calibration fails exactly in the second case
+        # sin^2(phi/2)) or one is m_S = 0 (transfer 0): pi is a maximum either
+        # way, and the closed-form rule refuses exactly the second case, away
+        # from the band where the m_S = 0 level meets the doublet's upper level
         params = ModelParams(D=sign * d, E=e_ratio * d, gamma_e=gamma_e)
         h = build_electronic(params.at_detuning(detuning))
-        _, vecs = eigensolve(h)
-
-        def transfer(phi):
-            return abs(vecs[:, 1].conj() @ _electron_pulse(phi) @ vecs[:, 0]) ** 2
-
-        at_pi = transfer(np.pi)
-        assert all(transfer(phi) <= at_pi + 1e-12 for phi in np.linspace(0, np.pi, 65)[1:])
+        upper = np.linalg.eigvalsh(h[np.ix_(PM, PM)])[1]
+        assume(abs(h[1, 1].real - upper) > 1e-9 * d)
+        at_pi = transfer_3x3(h, np.pi)
+        assert all(transfer_3x3(h, phi) <= at_pi + 1e-12
+                   for phi in np.linspace(0, np.pi, 65)[1:])
         if at_pi < 0.5:
             with pytest.raises(CalibrationError):
                 calibrate_pulses(h)

@@ -6,12 +6,12 @@ from clockspin.dynamics import (
     SequenceConfig,
     _block_pulse,
     _echo_block_engine,
-    _electron_pulse,
     hahn_echo_trace,
 )
 from clockspin.hamiltonian import ModelParams, block_hamiltonians, build_electronic
 from clockspin.spinops import is_hermitian, spin1_generators, spin_half_generators
 from clockspin.validate import _site, reference_echo, reference_hamiltonian
+from support import electron_pulse
 
 SX, SY, SZ, AC = spin1_generators()
 # Spin-1 ladder operators in the m_S = {+1, 0, -1} basis, written out here as
@@ -176,11 +176,11 @@ class TestMatrixChecks:
 
     def test_unitary_check(self):
         # the engine's pulse on the {up, down} (x) bath block is the +-1
-        # sub-block of the electron pulse, and it is unitary
+        # sub-block of the electron pulse (by expm), and it is unitary
         nb = 4
         for phi in (0.3, np.pi / 2, np.pi):
             u = _block_pulse(phi, nb)
             assert np.linalg.norm(u.conj().T @ u - np.eye(2 * nb)) < 1e-12
             pm = [0, 2]
-            sub = _electron_pulse(phi)[np.ix_(pm, pm)]
+            sub = electron_pulse(phi)[np.ix_(pm, pm)]
             assert np.max(np.abs(u - np.kron(sub, np.eye(nb)))) < 1e-15
