@@ -2,8 +2,16 @@
 
 A bath realization fixes the secular/pseudosecular hyperfine couplings of
 each proton and the orientation angle of every proton pair.  Sampling is
-driven by a counter-based Philox generator keyed on ``(seed, index)``, so a
+driven by the counter-based Philox4x64-10 generator (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11) keyed on ``(seed, index)``, so a
 realization is fully determined by those two integers on any platform.
+
+The generator is a port over Python integers, ``_philox_uniforms``, that draws
+exactly what ``np.random.Generator(np.random.Philox(key=[seed, index]))``
+draws through ``uniform``: the tests hold the two equal bit for bit.  Importing
+``numpy.random`` would load it, ``secrets``, ``hmac`` and OpenSSL into every
+sweep worker, 5-6 MiB of RSS each at numpy 2.4, for a few dozen numbers per
+realization.
 """
 
 from dataclasses import dataclass
@@ -13,11 +21,15 @@ import numpy as np
 from . import constants
 from .echotrace import EchoTrace
 
-# Largest bath built.  At N = 10 (d = 2048) the echo engine peaks at 3.8 d^2
-# complex entries (measured at N = 7-9), about 240 MiB per worker, and a
+# Largest bath built.  At N = 10 (d = 2048) the echo engine peaks at 3.7 d^2
+# complex entries (3.6-3.7 measured at N = 7-9), about 235 MiB per worker, and a
 # trace takes on the order of ten minutes; at N = 12 one complex d x d
 # matrix is already 1 GiB.
 _MAX_NUCLEI = 10
+
+_MASK64 = 2**64 - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)     # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)     # Weyl key increments
 
 
 @dataclass(frozen=True)
@@ -68,25 +80,51 @@ class BathRealization:
         return len(self.a_sc)
 
 
+def _philox_uniforms(seed: int, index: int, count: int) -> list:
+    """The first ``count`` doubles on [0, 1) of Philox4x64-10 keyed on ``(seed, index)``.
+
+    As numpy's ``Philox(key=[seed, index])``: the 256-bit counter starts at 0
+    and is incremented before each block of four 64-bit outputs, which are
+    used in order, and an output ``x`` becomes the double ``(x >> 11) * 2**-53``.
+    """
+    out = []
+    counter = 0
+    while len(out) < count:
+        counter += 1
+        x0, x1, x2, x3 = ((counter >> s) & _MASK64 for s in (0, 64, 128, 192))
+        k0, k1 = seed, index
+        for _ in range(10):
+            p0, p1 = _PHILOX_M[0] * x0, _PHILOX_M[1] * x2
+            x0, x1, x2, x3 = ((p1 >> 64) ^ x1 ^ k0, p1 & _MASK64,
+                              (p0 >> 64) ^ x3 ^ k1, p0 & _MASK64)
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        out += [(x >> 11) * 2.0**-53 for x in (x0, x1, x2, x3)]
+    return out[:count]
+
+
+def _uniform(low, high, u):
+    """``u`` mapped onto [low, high) as numpy's ``Generator.uniform`` maps it."""
+    low, high = float(low), float(high)
+    return np.array([low + (high - low) * x for x in u])
+
+
 def sample_bath(spec: BathSpec, index: int) -> BathRealization:
     """Draw realization ``index`` of the given spec.
 
     Deterministic for ``(spec.seed, index)``: the Philox key is the pair
     itself.  Draw order is fixed (couplings first, then the upper-triangle
-    pair angles row by row).  Pair orientations are isotropic: cos(theta) is
-    uniform on [-1, 1].
+    pair angles row by row, from one stream).  Pair orientations are
+    isotropic: cos(theta) is uniform on [-1, 1].
     """
-    if index < 0:
-        raise ValueError("realization index must be >= 0")
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([spec.seed, index], dtype=np.uint64))
-    )
+    if not 0 <= index < 2**64:
+        raise ValueError("realization index must lie in [0, 2**64)")
     n = spec.n_nuclei
-    a_sc = rng.uniform(spec.a_mean - spec.a_halfwidth, spec.a_mean + spec.a_halfwidth, n)
-    theta = np.zeros((n, n))
     iu, ju = np.triu_indices(n, k=1)
+    u = _philox_uniforms(spec.seed, index, n + iu.size)
+    a_sc = _uniform(spec.a_mean - spec.a_halfwidth, spec.a_mean + spec.a_halfwidth, u[:n])
+    theta = np.zeros((n, n))
     if iu.size:
-        angles = np.arccos(rng.uniform(-1.0, 1.0, iu.size))
+        angles = np.arccos(_uniform(-1.0, 1.0, u[n:]))
         theta[iu, ju] = angles
         theta[ju, iu] = angles
     return BathRealization(

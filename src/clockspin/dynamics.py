@@ -85,6 +85,16 @@ the grid does: ``einsum`` sums a one-row operand in another order, which from
 N = 6 on changes the last bits.  Otherwise, on one BLAS thread, the echo's bits
 do not depend on the chunk length (the tests check N = 1 to 7).
 
+The two chunk operands live in two buffers that a trace allocates once, for
+its longest chunk; every chunk fills and reuses their leading entries, GEMM 1
+and the row blocks through ``out=``, TRMM in place.  Allocating them per chunk
+was fragile: at N = 3 an operand is about 135 KiB, right at glibc's dynamic
+mmap and trim thresholds (128 KiB until the process frees a larger mapping),
+so whether each chunk mapped, faulted in and unmapped fresh pages depended on
+what else the process had allocated and freed before.  In a process that ran
+N = 3 traces one after another and had not imported ``numpy.random``, that
+cost about 950 minor page faults per trace; with the buffers, about none.
+
 ``field_sweep`` maps its jobs once, in one forked pool on one BLAS thread.  A
 field is one job if its kernel work ``n_realizations * n_tau * d^3`` (a
 measure of size: the kernel does 1.5 to 2 times that many real multiply-adds)
@@ -182,7 +192,8 @@ def calibrate_pulses(h_electronic: np.ndarray):
     ``1e-4`` (scipy's ``brentq``, to the same double).
 
     Raises:
-        ValueError: for input not 3 x 3 Hermitian, or that couples m_S = 0 to the doublet.
+        ValueError: for input not 3 x 3 Hermitian, that couples m_S = 0 to the
+            doublet, or whose +-1 coupling ``h[0, 2]`` is not real.
         CalibrationError: if the m_S = 0 level is not above the doublet's upper level.
     """
     h = np.asarray(h_electronic)
@@ -190,6 +201,9 @@ def calibrate_pulses(h_electronic: np.ndarray):
                                  <= 1e-10 * max(np.linalg.norm(h), 1.0)):
         raise ValueError("calibrate_pulses takes a 3 x 3 Hermitian Hamiltonian that does not "
                          "couple m_S = 0 to the +-1 doublet")
+    if abs(h[0, 2].imag) > 1e-10 * max(np.linalg.norm(h), 1.0):
+        raise ValueError(f"calibrate_pulses takes a real +-1 coupling h[0, 2], not {h[0, 2]:.6g}: "
+                         "the pulse rotates the doublet about y only")
     levels, vecs = np.linalg.eigh(h[np.ix_([0, 2], [0, 2])])
     level_0 = h[1, 1].real
     if not level_0 > levels[1]:
@@ -270,24 +284,32 @@ def _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi):
     # d > _ROW_BLOCK and the BLAS has it, else one GEMM per block of
     # _ROW_BLOCK rows of T, from its diagonal on.  Chunks are sized by the
     # bytes of the operand, and none holds a single tau point unless the grid
-    # does (_tau_chunk, module docstring).
-    v_up_t = np.ascontiguousarray(v2[:nb, :].T)[:, None, :]         # (d, 1, d/2)
+    # does (_tau_chunk, module docstring).  The chunk's two operands are the
+    # leading entries of two buffers allocated once per trace: `a` takes
+    # D V_up^T (a copy of V_up^T, held complex, then one multiply by D) and,
+    # once read by GEMM 1, the row blocks' products; `b` takes GEMM 1.
+    v_up_t = np.ascontiguousarray(v2[:nb, :].T, dtype=complex)[:, None, :]   # (d, 1, d/2)
     p_pi_t = v2.T @ _block_pulse(phi_pi, nb).T @ v2
     t_half = np.linalg.qr(np.sqrt(w2)[:, None] * (v2.T @ _block_pulse(phi_half, nb).T @ v2),
                           mode="r")
+    del v2
     trmm = _openblas_trmm() if d > _ROW_BLOCK else None
     rows = range(0, d, _ROW_BLOCK)
     intensity = np.empty(tau.size)
     n_chunks = max(1, tau.size // _tau_chunk(d))
     bounds = [tau.size * k // n_chunks for k in range(n_chunks + 1)]
+    longest = max(stop - start for start, stop in zip(bounds, bounds[1:]))
+    buffers = [np.empty(d * longest * nb, dtype=complex) for _ in range(2)]
     for start, stop in zip(bounds, bounds[1:]):
         ts = tau[start:stop]
         nt = ts.size
         u = np.exp(-2j * np.pi * np.outer(f2, ts))[:, :, None]     # (d, nt, 1)
-        x = (u * v_up_t).reshape(d, -1).view(float)
-        x = (p_pi_t @ x).view(complex).reshape(d, nt, nb)           # GEMM 1
-        x *= u
-        x = x.reshape(d, -1).view(float)
+        a, b = (buf[:d * nt * nb].reshape(d, nt, nb) for buf in buffers)
+        a[...] = v_up_t
+        a *= u
+        a, x = a.reshape(d, -1).view(float), b.reshape(d, -1).view(float)
+        np.matmul(p_pi_t, a, out=x)                                 # GEMM 1
+        b *= u
         if trmm is not None:
             trmm(t_half, x)                                         # x <- T x
             y = x.reshape(d, nt, d)
@@ -295,10 +317,10 @@ def _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi):
         else:
             power = np.zeros(nt)
             for r in rows:                                          # GEMM 2, by row block
-                y = (t_half[r:r + _ROW_BLOCK, r:] @ x[r:]).reshape(-1, nt, d)
+                t_rows = t_half[r:r + _ROW_BLOCK, r:]
+                y = np.matmul(t_rows, x[r:], out=a[:len(t_rows)]).reshape(-1, nt, d)
                 power += np.einsum("ktj,ktj->t", y, y)
         intensity[start:stop] = 2.0 * power
-        del x, y        # before the next chunk's operand is built
     intensity -= w2.sum()
     return intensity
 

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from clockspin import constants
 from clockspin.bath import (
     BathSpec,
+    _philox_uniforms,
     dipolar_strength,
     ensemble_average,
     sample_bath,
@@ -78,6 +81,8 @@ class TestSampleBath:
             BathSpec(a_halfwidth=-1.0)
         with pytest.raises(ValueError):
             sample_bath(BathSpec(), -1)
+        with pytest.raises(ValueError):
+            sample_bath(BathSpec(), 2**64)
 
     def test_json_roundtrip(self):
         r = sample_bath(BathSpec(), 4)
@@ -85,6 +90,64 @@ class TestSampleBath:
         assert np.array_equal(back.a_sc, r.a_sc)
         assert np.array_equal(back.theta, r.theta)
         assert back.seed == r.seed and back.index == r.index
+
+
+def _numpy_philox_bath(spec, index):
+    """``(a_sc, pair angles)`` drawn as ``sample_bath`` drew them through numpy's
+    Philox: the couplings, then the upper-triangle angles, from one generator."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([spec.seed, index], dtype=np.uint64)))
+    n = spec.n_nuclei
+    a_sc = rng.uniform(spec.a_mean - spec.a_halfwidth, spec.a_mean + spec.a_halfwidth, n)
+    return a_sc, np.arccos(rng.uniform(-1.0, 1.0, n * (n - 1) // 2))
+
+
+class TestPhiloxPort:
+    # numpy.random is imported here only, as the oracle; the package never loads it
+
+    @pytest.mark.parametrize("seed", [0, 1234, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 7, 2**32 + 5, 2**63, 2**64 - 1])
+    def test_sample_bath_matches_numpy_philox(self, seed, index):
+        # N = 1-10 draws 1 to 55 numbers: the couplings end 1, 2, 3 or 0
+        # outputs into a block of four, which the angles then finish
+        for n in range(1, 11):
+            spec = BathSpec(n_nuclei=n, seed=seed)
+            r = sample_bath(spec, index)
+            a_sc, angles = _numpy_philox_bath(spec, index)
+            assert r.a_sc.tobytes() == a_sc.tobytes(), n
+            assert r.theta[np.triu_indices(n, 1)].tobytes() == angles.tobytes(), n
+
+    @pytest.mark.parametrize("seed, index", [(0, 0), (1234, 3), (2**64 - 1, 2**64 - 1)])
+    def test_stream_matches_numpy_random(self, seed, index):
+        # every prefix length of two blocks and a few beyond, and a stream
+        # split between two uniform draws inside one block of four
+        philox = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+        want = np.random.Generator(philox).random(13)
+        for count in range(14):
+            assert _philox_uniforms(seed, index, count) == list(want[:count])
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+        split = np.concatenate([rng.uniform(7e6, 9e6, 3), rng.uniform(-1.0, 1.0, 6)])
+        u = _philox_uniforms(seed, index, 9)
+        mine = [7e6 + 2e6 * x for x in u[:3]] + [-1.0 + 2.0 * x for x in u[3:]]
+        assert np.array(mine).tobytes() == split.tobytes()
+
+    def test_zero_halfwidth_matches_numpy_philox(self):
+        spec = BathSpec(n_nuclei=4, a_halfwidth=0.0, seed=9)
+        assert sample_bath(spec, 2).a_sc.tobytes() == _numpy_philox_bath(spec, 2)[0].tobytes()
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1234, "55b6f91b4096dbea3c291f2bf54d37b6"),
+        (4321, "6e48e867e7f457dcc8e32d0723a5612a"),
+    ])
+    def test_benchmark_seeds_keep_their_realizations(self, seed, digest):
+        # realizations 0-9 at N = 3 and N = 7, the benchmark's baths, hashed
+        # as numpy's Philox drew them
+        h = hashlib.sha256()
+        for n in (3, 7):
+            for k in range(10):
+                r = sample_bath(BathSpec(n_nuclei=n, seed=seed), k)
+                h.update(r.a_sc.tobytes())
+                h.update(r.theta.tobytes())
+        assert h.hexdigest()[:32] == digest
 
 
 class TestDipolarStrength:

@@ -654,10 +654,10 @@ def _check_failed_fit_stops_the_pool(tmp_path, n2_config, monkeypatch):
     assert len(traces.read_text().splitlines()) <= 20       # of 42 traces
 
 
-def _scipy_modules_after(tmp_path, argv_list, block):
-    """``(return codes, scipy modules loaded)`` of running ``main`` on each argv
-    in one fresh interpreter.  With ``block`` an import of scipy raises there,
-    so that an import in a forked worker fails its command too."""
+def _modules_after(tmp_path, argv_list, block):
+    """``(return codes, modules loaded)`` of running ``main`` on each argv in one
+    fresh interpreter.  With ``block`` an import of scipy raises there, so that
+    an import in a forked worker fails its command too."""
     script = tmp_path / "run.py"
     script.write_text(
         "import json, sys\n"
@@ -669,7 +669,7 @@ def _scipy_modules_after(tmp_path, argv_list, block):
         "sys.meta_path.insert(0, NoScipy())\n"
         "from clockspin.cli import main\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+        "print(json.dumps([codes, sorted(sys.modules)]))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(clockspin.__file__).parents[1])}
     proc = subprocess.run([sys.executable, str(script), "block" if block else "allow",
                            json.dumps(argv_list)], env=env,
@@ -678,24 +678,42 @@ def _scipy_modules_after(tmp_path, argv_list, block):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _scipy(modules):
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
 class TestRunPathImports:
     def test_run_commands_load_no_scipy(self, tmp_path, n2_config):
         sweep = ["sweep", "--config", str(n2_config), "--start-mT", "0", "--stop-mT", "1",
                  "--step-mT", "1"]
-        codes, loaded = _scipy_modules_after(tmp_path, [
+        codes, loaded = _modules_after(tmp_path, [
             ["echo", "--preset", "n1", "--detuning-mT", "20", "--out", str(tmp_path / "n1")],
             sweep + ["--jobs", "1", "--out", str(tmp_path / "serial")],
             sweep + ["--out", str(tmp_path / "default")],
             ["zeeman", "--out", str(tmp_path / "zeeman")],
         ], block=True)
         assert codes == [0, 0, 0, 0]
-        assert loaded == []
+        assert _scipy(loaded) == []
+
+    def test_serial_run_commands_load_no_numpy_random(self, tmp_path):
+        # the bath is drawn by a Philox port: an N = 3 echo and sweep on one
+        # process leave numpy.random, secrets, hmac and OpenSSL unloaded
+        cfg = tmp_path / "n3.cfg"
+        cfg.write_text("bath_N = 3\nn_realizations = 2\n")
+        common = ["--config", str(cfg), "--jobs", "1"]
+        codes, loaded = _modules_after(tmp_path, [
+            ["echo", *common, "--detuning-mT", "2", "--out", str(tmp_path / "echo")],
+            ["sweep", *common, "--start-mT", "0", "--stop-mT", "1", "--step-mT", "1",
+             "--out", str(tmp_path / "sweep")],
+        ], block=False)
+        assert codes == [0, 0]
+        assert "numpy.random" not in loaded
 
     def test_validate_loads_no_scipy(self, tmp_path):
         # the dense reference builds its thermal state and pulses with numpy
-        codes, loaded = _scipy_modules_after(tmp_path, [["validate"]], block=True)
+        codes, loaded = _modules_after(tmp_path, [["validate"]], block=True)
         assert codes == [0]
-        assert loaded == []
+        assert _scipy(loaded) == []
 
 
 class TestValidateCommand:

@@ -1,6 +1,12 @@
 import functools
+import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import clockspin
 from clockspin import constants, dynamics, hamiltonian
 from clockspin.bath import BathRealization, BathSpec, sample_bath
 from clockspin.dynamics import (
@@ -312,6 +319,21 @@ class TestCalibratePulses:
         with pytest.raises(ValueError):
             calibrate_pulses(h)
 
+    def test_refuses_a_complex_coupling(self):
+        # the pulse rotates the doublet about y, which drives its two states
+        # fully only if their eigenvectors are real: a coupling turned by
+        # exp(0.9i) is refused by name, a negative real one calibrates
+        h = build_electronic(ModelParams().at_detuning(2e-3))
+        turned = h.copy()
+        turned[0, 2] *= np.exp(0.9j)
+        turned[2, 0] = np.conj(turned[0, 2])
+        with pytest.raises(ValueError, match=r"real \+-1 coupling h\[0, 2\]") as info:
+            calibrate_pulses(turned)
+        assert "\n" not in str(info.value)
+        flipped = h.copy()
+        flipped[0, 2] = flipped[2, 0] = -h[0, 2]
+        assert calibrate_pulses(flipped)[0] == pytest.approx(np.pi / 2, abs=1e-4)
+
     @settings(deadline=None)
     @given(sign=st.sampled_from([-1.0, 1.0]), d=st.floats(1e9, 1e11),
            e_ratio=st.floats(-0.99, 0.99), gamma_e=st.floats(1e10, 2e11),
@@ -604,17 +626,17 @@ class TestTauChunk:
     def test_kernel_working_set(self):
         # At N = 6 (d = 128) the engine peaks in its chunk loop.  In d^2
         # complex entries (16 d^2 bytes) it then holds:
-        # - 1.75 of factors: the real v2, p_pi_t and t_half (0.5 each) and
-        #   v_up_t (d x d/2, 0.25);
-        # - 2 of chunk operands, a chunk holding 2 tau points: the next
-        #   chunk's (d x 2 d/2) operand u * v_up_t and the d^2 temporary that
-        #   numpy allocates while it broadcasts that product, or the operand
-        #   and its product by p_pi_t (1 each; TRMM multiplies by t_half in
-        #   place, and the last chunk's results are released before);
-        # - 0.5 for the vectors and small buffers (3.91 in all, measured).
+        # - 1.5 of factors: the real p_pi_t and t_half (0.5 each) and v_up_t,
+        #   d x d/2 complex (0.5); v2 is freed before the loop;
+        # - 2 of chunk operands, a chunk holding 2 tau points: the two buffers
+        #   that the trace allocates once and every chunk reuses (1 each;
+        #   GEMM 1 writes through out=, TRMM multiplies by t_half in place);
+        # - 0.5 while the phases multiply an operand: numpy's 8192-entry
+        #   buffer for the broadcast phase vector;
+        # - about 0.1 for the vectors and small arrays (4.11 in all, measured).
         # The eigensolve of h2 peaks lower, at 2.56 (TestEigensolve bounds
         # it).  One more complex d x d matrix kept alive in the loop exceeds
-        # the bound.
+        # the bound of 4.25.
         n = 6
         d = 2 * 2**n
         p = ModelParams().at_detuning(2e-3)
@@ -628,6 +650,41 @@ class TestTauChunk:
         finally:
             tracemalloc.stop()
         assert peak <= (1.75 + 2 + 0.5) * d * d * 16
+
+
+_FAULT_SCRIPT = """
+import json, resource, sys
+from clockspin import dynamics
+from clockspin.bath import BathSpec, sample_bath
+from clockspin.dynamics import SequenceConfig, hahn_echo_trace
+from clockspin.hamiltonian import ModelParams
+
+spec, seq, p = BathSpec(n_nuclei=3), SequenceConfig(), ModelParams().at_detuning(2e-3)
+with dynamics._single_threaded_blas():
+    hahn_echo_trace(p, sample_bath(spec, 50), seq)      # the first trace grows the heap
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for k in range(50):
+        hahn_echo_trace(p, sample_bath(spec, k), seq)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(["numpy.random" in sys.modules, faults / 50]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the bound is glibc malloc's: its mmap and trim thresholds decide "
+                           "whether an operand freed per chunk returns its pages to the kernel")
+def test_traces_reuse_their_pages():
+    # A sweep worker runs one trace after another without numpy.random.  At
+    # N = 3 a chunk operand is about 135 KiB, at glibc's mmap and trim
+    # thresholds: allocated per chunk, every chunk faulted fresh pages in
+    # (about 950 minor faults per trace); the per-trace buffers take about none.
+    env = {**os.environ, "PYTHONPATH": str(Path(clockspin.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    random_loaded, faults_per_trace = json.loads(proc.stdout.splitlines()[-1])
+    assert not random_loaded
+    assert faults_per_trace < 100
 
 
 def _blas_thread_counts():
