@@ -15,7 +15,6 @@ from .echotrace import EchoTrace
 from .hamiltonian import (
     ElectronSpectrum,
     ModelParams,
-    build_electronic,
     clock_frequency_curve,
     eigensolve,
     project_fictitious,
@@ -29,7 +28,6 @@ __all__ = [
     "ElectronSpectrum",
     "ModelParams",
     "SequenceConfig",
-    "build_electronic",
     "calibrate_pulses",
     "clock_frequency_curve",
     "dipolar_strength",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, config, dynamics, hamiltonian, validate
+from . import __version__, analysis, config, dynamics, validate
 from .echotrace import write_float_csv, write_json
 from .errors import ClockspinError
 
@@ -100,7 +100,7 @@ def _check_fields(cfg, grid_mt):
     for db_mt in grid_mt:
         params = cfg.model.at_detuning(db_mt * 1e-3)
         analysis.check_fit_grid(tau, params.proton_larmor())
-        dynamics.calibrate_pulses(hamiltonian.build_electronic(params))
+        dynamics.calibrate_pulses(params)
 
 
 def cmd_echo(args) -> int:

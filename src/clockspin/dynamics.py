@@ -36,7 +36,10 @@ The block comes real from ``hamiltonian.block_hamiltonians``, whose frame
 turns each nuclear spin by pi/4 about z.  That rotation is diagonal and
 commutes with the pulses and Sz, so it changes V_up only by a unitary left
 factor, which drops out of the Frobenius norm: the echo is that of the
-laboratory frame, exactly.  ``hamiltonian.eigensolve`` runs the complex
+laboratory frame, exactly.  So is the blocks' shift by -D/3, which centres
+the +-1 doublet at zero: it multiplies each delay propagator by a global
+phase and leaves the normalized weights as they are.
+``hamiltonian.eigensolve`` runs the complex
 Hermitian solver (zheevd) on the real-valued block and returns exactly real
 eigenvectors.  It is the complex solver on purpose: the real-symmetric one
 (dsyevd) is less accurate over a 100 us window (worst error 0.047 of the
@@ -178,43 +181,34 @@ def _doublet_pulse(phi: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def calibrate_pulses(h_electronic: np.ndarray):
+def calibrate_pulses(params: ModelParams):
     """Pulse angles ``(phi_half, phi_pi)`` for the two lowest electronic eigenstates.
 
-    Reads only what ``hamiltonian.block_hamiltonians`` takes from the 3 x 3
-    ``h_electronic``: the +-1 doublet and the m_S = 0 level.  The pulse never
-    touches m_S = 0, so it drives the two lowest states exactly when that level
-    lies above the doublet's upper one: for ``build_electronic``, when
-    ``sqrt(E^2 + (gamma_e dB)^2) < -D``, below 639.63 mT of detuning at the
-    defaults.  There the transfer from the doublet's ground state is
-    sin^2(phi/2), so phi_pi = pi, and phi_half, which equalizes the two
-    populations, is found in ``[1e-6, pi]`` by ``solvers.brentq`` to within
-    ``1e-4`` (scipy's ``brentq``, to the same double).
+    The pulse never touches m_S = 0, so it drives the two lowest states exactly
+    when that level lies above the doublet's upper one: in the closed form of
+    ``hamiltonian.electronic_levels``, when ``-D > sqrt(E^2 + (gamma_e dB)^2)``,
+    below 639.63 mT of detuning at the defaults.  There the transfer from the
+    doublet's ground state is sin^2(phi/2), so phi_pi = pi, and phi_half,
+    which equalizes the two populations, is found in ``[1e-6, pi]`` by
+    ``solvers.brentq`` to within ``1e-4`` (scipy's ``brentq``, to the same double).
 
     Raises:
-        ValueError: for input not 3 x 3 Hermitian, that couples m_S = 0 to the
-            doublet, or whose +-1 coupling ``h[0, 2]`` is not real.
-        CalibrationError: if the m_S = 0 level is not above the doublet's upper level.
+        CalibrationError: if the m_S = 0 level is not above the doublet's upper
+            level; the message gives both in the laboratory convention.
     """
-    h = np.asarray(h_electronic)
-    if h.shape != (3, 3) or not (max(np.linalg.norm(h - h.conj().T), np.linalg.norm(h[1, [0, 2]]))
-                                 <= 1e-10 * max(np.linalg.norm(h), 1.0)):
-        raise ValueError("calibrate_pulses takes a 3 x 3 Hermitian Hamiltonian that does not "
-                         "couple m_S = 0 to the +-1 doublet")
-    if abs(h[0, 2].imag) > 1e-10 * max(np.linalg.norm(h), 1.0):
-        raise ValueError(f"calibrate_pulses takes a real +-1 coupling h[0, 2], not {h[0, 2]:.6g}: "
-                         "the pulse rotates the doublet about y only")
-    levels, vecs = np.linalg.eigh(h[np.ix_([0, 2], [0, 2])])
-    level_0 = h[1, 1].real
-    if not level_0 > levels[1]:
+    doublet, level_0 = hamiltonian.electronic_levels(params)
+    half_gap = np.hypot(params.E, params.gamma_e * params.detuning)
+    if not level_0 > half_gap:
         raise CalibrationError(
-            f"the m_S = 0 level ({level_0 * 1e-9:.6g} GHz) is not above the +-1 doublet's "
-            f"upper level ({levels[1] * 1e-9:.6g} GHz), so no pulse drives the two lowest states")
+            f"the m_S = 0 level ({-2 * params.D / 3 * 1e-9:.6g} GHz) is not above the +-1 "
+            f"doublet's upper level ({(params.D / 3 + half_gap) * 1e-9:.6g} GHz), so no pulse "
+            "drives the two lowest states")
+    _, vecs = np.linalg.eigh(doublet)
     g, e = vecs[:, 0], vecs[:, 1]
 
     def imbalance(phi):
         psi = _doublet_pulse(phi) @ g
-        return abs(e.conj() @ psi) ** 2 - abs(g.conj() @ psi) ** 2
+        return (e @ psi) ** 2 - (g @ psi) ** 2
 
     return solvers.brentq(imbalance, 1e-6, np.pi, xtol=1e-4), np.pi
 
@@ -342,7 +336,7 @@ def hahn_echo_trace(params: ModelParams, bath, seq: SequenceConfig) -> EchoTrace
         CalibrationError: if the field's pulses cannot be calibrated.
     """
     tau = seq.tau_grid()
-    phi_half, phi_pi = calibrate_pulses(hamiltonian.build_electronic(params))
+    phi_half, phi_pi = calibrate_pulses(params)
     intensity = _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi)
     meta = _trace_meta(params, bath, seq, phi_half, phi_pi)
     return EchoTrace(tau=tau, intensity=intensity, meta=meta)

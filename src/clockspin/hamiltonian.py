@@ -7,7 +7,10 @@ anisotropy E and a Zeeman term referenced to the clock-transition field:
 
 with all energies in Hz.  At zero detuning the two lowest eigenstates are
 ``|+-> = (|up> +- |down>)/sqrt(2)`` separated by the clock frequency 2E, and
-the transition frequency is first-order insensitive to field.
+the transition frequency is first-order insensitive to field.  The run path
+takes H_S from ``electronic_levels``: in closed form, and shifted by -D/3 so
+that the +-1 doublet is centred at zero, where its levels (about +-4.5 GHz
+over +-5 mT, not down to -19.5 GHz) round less.  The echo cannot see the shift.
 
 The electron couples to N bath protons through secular and pseudosecular
 hyperfine terms (H_SI), and the protons carry their own Zeeman plus pairwise
@@ -91,15 +94,12 @@ class ElectronSpectrum:
                         self.b_grid, *self.energies.T, self.f, self.gamma_eff)
 
 
-def build_electronic(p: ModelParams) -> np.ndarray:
-    """3x3 electronic Hamiltonian (Hz); Hermitian and traceless."""
-    sx, sy, sz, _ = spinops.spin1_generators()
-    h = (
-        p.D * (sz @ sz - (2.0 / 3.0) * np.eye(3))
-        + p.E * (sx @ sx - sy @ sy)
-        + p.gamma_e * p.detuning * sz
-    )
-    return h
+def electronic_levels(p: ModelParams):
+    """H_S - D/3 in closed form (Hz): ``(doublet, level_0)``, the real +-1
+    doublet ``[[gamma_e dB, E], [E, -gamma_e dB]]`` in the (+1, -1) basis and
+    the m_S = 0 level ``-D``, which H_S couples to nothing."""
+    g = p.gamma_e * p.detuning
+    return np.array([[g, p.E], [p.E, -g]]), -p.D
 
 
 def _bath_iz(n_nuclei: int) -> np.ndarray:
@@ -136,12 +136,12 @@ def bath_hamiltonian_matrix(p: ModelParams, bath) -> np.ndarray:
 
 
 def block_hamiltonians(params: ModelParams, bath):
-    """H_tot on the {up,down} (x) bath block, in the real frame (module
+    """H_tot - D/3 on the {up,down} (x) bath block, in the real frame (module
     docstring), and on the m_S=0 bath block.
 
-    From ``h_e = build_electronic(params)`` in the (+1, 0, -1) basis:
-    ``h2 = h_e[+-1, +-1] (x) 1 + sigma_z (x) sum_m (A_sc Iz + sqrt(2) A_psc Ix)
-    + 1 (x) H_I`` and ``h0 = h_e[1, 1] + H_I``.  h2 has an imaginary part of
+    From ``doublet, level_0 = electronic_levels(params)``:
+    ``h2 = doublet (x) 1 + sigma_z (x) sum_m (A_sc Iz + sqrt(2) A_psc Ix)
+    + 1 (x) H_I`` and ``h0 = level_0 + H_I``.  h2 has an imaginary part of
     exactly zero and keeps the complex dtype for ``eigensolve``.
 
     Returns:
@@ -149,7 +149,7 @@ def block_hamiltonians(params: ModelParams, bath):
         ``(up, down) (x) bath`` and the ``2**N`` block of m_S = 0, in Hz.
         ``bath`` may be ``None`` for a bare electron (N = 0).
     """
-    h_e = build_electronic(params)
+    doublet, level_0 = electronic_levels(params)
     n = bath.n_nuclei if bath is not None else 0
     nb = 2**n
     b_op = np.zeros((nb, nb), dtype=complex)
@@ -162,9 +162,8 @@ def block_hamiltonians(params: ModelParams, bath):
             b_op[states, states ^ (1 << (n - 1 - m))] += np.sqrt(2.0) * bath.a_psc[m] * 0.5
         h_i = bath_hamiltonian_matrix(params, bath)
     eye_b = np.eye(nb)
-    h2 = (np.kron(h_e[np.ix_([0, 2], [0, 2])], eye_b) + np.kron(_SIGMA_Z, b_op)
-          + np.kron(np.eye(2), h_i))
-    h0 = h_e[1, 1] * eye_b + h_i
+    h2 = np.kron(doublet, eye_b) + np.kron(_SIGMA_Z, b_op) + np.kron(np.eye(2), h_i)
+    h0 = level_0 * eye_b + h_i
     return h2, h0
 
 
@@ -186,16 +185,17 @@ def eigensolve(h: np.ndarray):
 def clock_frequency_curve(p: ModelParams, b_grid) -> ElectronSpectrum:
     """Electronic spectrum versus applied field.
 
-    ``f`` is the gap between the two lowest eigenvalues of H_S;
+    The levels of H_S in closed form, ascending: -2D/3 and
+    D/3 +- sqrt(E^2 + (gamma_e dB)^2), those of ``electronic_levels`` shifted
+    back by D/3.  ``f`` is the gap between the two lowest;
     ``gamma_eff = df/dB0`` uses centered differences (one-sided at the edges).
     """
     b_grid = np.asarray(b_grid, dtype=float)
     if b_grid.size == 0:
         raise ValueError("field grid is empty")
-    energies = np.empty((b_grid.size, 3))
-    for i, b in enumerate(b_grid):
-        vals, _ = eigensolve(build_electronic(replace(p, B0=b)))
-        energies[i] = vals
+    half_gap = np.hypot(p.E, p.gamma_e * (b_grid - p.B_min))
+    energies = np.sort(np.column_stack([p.D / 3 - half_gap, p.D / 3 + half_gap,
+                                        np.full(b_grid.size, -2 * p.D / 3)]), axis=1)
     f = energies[:, 1] - energies[:, 0]
     if b_grid.size >= 2:
         gamma_eff = np.gradient(f, b_grid)

@@ -79,16 +79,19 @@ def reference_hamiltonian(params: ModelParams, bath) -> np.ndarray:
     """Dense ``H_tot = H_S + H_SI + H_I`` on the full ``C^3 (x) bath`` space (Hz).
 
     Assembled with ``np.kron`` in the laboratory frame, independently of
-    ``block_hamiltonians``: only H_S is shared.  The hyperfine term and H_I are
-    built here from the embedded proton operators, so the m_S = 0 decoupling,
-    the real frame and the bit layout the block engine relies on are checked
-    against this matrix, not assumed.
+    ``block_hamiltonians``: H_S (the 3 x 3 result for ``bath=None``) comes
+    from the spin-1 matrices, unshifted, and the hyperfine term and H_I from
+    the embedded proton operators.  So the engine's closed-form levels, the
+    m_S = 0 decoupling, the real frame and the bit layout the block engine
+    relies on are checked against this matrix, not assumed.
     """
     n = bath.n_nuclei if bath is not None else 0
-    h = np.kron(hamiltonian.build_electronic(params), np.eye(2**n))
+    sx, sy, sz, _ = spinops.spin1_generators()
+    h_s = (params.D * (sz @ sz - (2.0 / 3.0) * np.eye(3)) + params.E * (sx @ sx - sy @ sy)
+           + params.gamma_e * params.detuning * sz)
+    h = np.kron(h_s, np.eye(2**n))
     if n:
         ix, iy, iz = spinops.spin_half_generators()
-        sz = np.diag([1.0, 0.0, -1.0])
         for m in range(n):
             h = h + np.kron(sz, _site(bath.a_sc[m] * iz + bath.a_psc[m] * (ix + iy), m, n))
         h = h + np.kron(np.eye(3), _bath_hamiltonian(params, bath))
@@ -137,7 +140,7 @@ def reference_echo(params: ModelParams, bath, seq, phi_half: float,
 
 
 def check_electronic_eigenvalues() -> CheckResult:
-    vals, _ = hamiltonian.eigensolve(hamiltonian.build_electronic(ModelParams()))
+    vals, _ = hamiltonian.eigensolve(reference_hamiltonian(ModelParams(), None))
     expected = np.array([-19.5e9, -10.5e9, 30.0e9])
     resid = float(np.max(np.abs(vals - expected) / np.abs(expected)))
     return CheckResult("electronic-eigenvalues", resid < 1e-9, resid, 1e-9,
@@ -146,7 +149,7 @@ def check_electronic_eigenvalues() -> CheckResult:
 
 def check_ct_eigenvector_order() -> CheckResult:
     """The upper state of the CT doublet must be the symmetric combination."""
-    _, vecs = hamiltonian.eigensolve(hamiltonian.build_electronic(ModelParams()))
+    _, vecs = hamiltonian.eigensolve(reference_hamiltonian(ModelParams(), None))
     plus = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
     overlap = abs(np.vdot(plus, vecs[:, 1]))
     resid = float(1.0 - overlap)

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from clockspin.dynamics import (
     hahn_echo_trace,
 )
 from clockspin.errors import CalibrationError, ClockspinError
-from clockspin.hamiltonian import ModelParams, build_electronic, eigensolve
+from clockspin.hamiltonian import ModelParams, eigensolve
 from clockspin.spinops import spin1_generators
 from clockspin.validate import reference_echo, reference_hamiltonian
 from support import drawn_baths, electron_pulse, real_frame
@@ -266,30 +267,33 @@ class TestPulseOperator:
             assert np.max(np.abs(block - oracle)) < 1e-12
 
 
-def transfer_3x3(h, phi):
+def transfer_3x3(p, phi):
     """Population moved by the expm pulse between the two lowest eigenstates
-    of the 3 x 3 ``h``: the refusal rule that the doublet's closed form replaced."""
-    _, vecs = eigensolve(h)
+    of the oracle's 3 x 3 H_S: the refusal rule that the doublet's closed form
+    replaced."""
+    _, vecs = eigensolve(reference_hamiltonian(p, None))
     return abs(vecs[:, 1].conj() @ electron_pulse(phi) @ vecs[:, 0]) ** 2
 
 
 class TestCalibratePulses:
     def test_ct_angles_match_rabi_oracle(self):
-        # transfer(phi) = sin^2(phi/2), so phi_pi = pi and phi_half = pi/2
-        phi_half, phi_pi = calibrate_pulses(build_electronic(ModelParams()))
-        assert phi_pi == np.pi
-        assert phi_half == pytest.approx(np.pi / 2, abs=1e-4)
+        # transfer(phi) = sin^2(phi/2), so phi_pi = pi and phi_half = pi/2,
+        # whatever the sign of the +-1 coupling E
+        for params in (ModelParams(), ModelParams(E=-4.5e9).at_detuning(2e-3)):
+            phi_half, phi_pi = calibrate_pulses(params)
+            assert phi_pi == np.pi
+            assert phi_half == pytest.approx(np.pi / 2, abs=1e-4)
 
     def test_transfer_is_complete_at_phi_pi(self):
-        h = build_electronic(ModelParams().at_detuning(3e-3))
-        _, phi_pi = calibrate_pulses(h)
-        assert transfer_3x3(h, phi_pi) == pytest.approx(1.0, abs=1e-8)
+        p = ModelParams().at_detuning(3e-3)
+        _, phi_pi = calibrate_pulses(p)
+        assert transfer_3x3(p, phi_pi) == pytest.approx(1.0, abs=1e-8)
 
     def test_angles_smooth_in_field(self):
         p = ModelParams()
         prev = None
         for db in np.arange(-5e-3, 5.5e-3, 0.5e-3):
-            angles = np.array(calibrate_pulses(build_electronic(p.at_detuning(db))))
+            angles = np.array(calibrate_pulses(p.at_detuning(db)))
             if prev is not None:
                 assert np.max(np.abs(angles - prev)) < 0.1
             prev = angles
@@ -299,40 +303,16 @@ class TestCalibratePulses:
         # past 639.63 mT it is the second eigenstate, and for D > 0 the ground state
         for params in (ModelParams().at_detuning(0.7), ModelParams(D=45e9)):
             with pytest.raises(CalibrationError):
-                calibrate_pulses(build_electronic(params))
+                calibrate_pulses(params)
 
     def test_reachability_boundary_at_the_defaults(self):
         # sqrt(E^2 + (gamma_e dB)^2) < -D up to dB = sqrt(D^2 - E^2) / gamma_e,
         # 639.635 mT
         p = ModelParams()
         assert np.sqrt(p.D**2 - p.E**2) / p.gamma_e == pytest.approx(0.639635, abs=1e-6)
-        assert calibrate_pulses(build_electronic(p.at_detuning(0.6396)))[1] == np.pi
+        assert calibrate_pulses(p.at_detuning(0.6396))[1] == np.pi
         with pytest.raises(CalibrationError, match=r"m_S = 0 level \(30 GHz\) is not above"):
-            calibrate_pulses(build_electronic(p.at_detuning(0.6397)))
-
-    @pytest.mark.parametrize("h", [
-        np.eye(2), np.eye(4), np.diag([1.0, 2.0, 3.0]) + np.triu(np.ones((3, 3)), 1),
-        np.diag([1.0, 2.0, 3.0]) + 1e-3 * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-        np.diag([1.0, 2.0, np.nan]),
-    ], ids=["2x2", "4x4", "not-hermitian", "couples-m0", "nan"])
-    def test_refuses_what_is_not_a_doublet_and_a_level(self, h):
-        with pytest.raises(ValueError):
-            calibrate_pulses(h)
-
-    def test_refuses_a_complex_coupling(self):
-        # the pulse rotates the doublet about y, which drives its two states
-        # fully only if their eigenvectors are real: a coupling turned by
-        # exp(0.9i) is refused by name, a negative real one calibrates
-        h = build_electronic(ModelParams().at_detuning(2e-3))
-        turned = h.copy()
-        turned[0, 2] *= np.exp(0.9j)
-        turned[2, 0] = np.conj(turned[0, 2])
-        with pytest.raises(ValueError, match=r"real \+-1 coupling h\[0, 2\]") as info:
-            calibrate_pulses(turned)
-        assert "\n" not in str(info.value)
-        flipped = h.copy()
-        flipped[0, 2] = flipped[2, 0] = -h[0, 2]
-        assert calibrate_pulses(flipped)[0] == pytest.approx(np.pi / 2, abs=1e-4)
+            calibrate_pulses(p.at_detuning(0.6397))
 
     @settings(deadline=None)
     @given(sign=st.sampled_from([-1.0, 1.0]), d=st.floats(1e9, 1e11),
@@ -343,18 +323,18 @@ class TestCalibratePulses:
         # sin^2(phi/2)) or one is m_S = 0 (transfer 0): pi is a maximum either
         # way, and the closed-form rule refuses exactly the second case, away
         # from the band where the m_S = 0 level meets the doublet's upper level
-        params = ModelParams(D=sign * d, E=e_ratio * d, gamma_e=gamma_e)
-        h = build_electronic(params.at_detuning(detuning))
+        params = ModelParams(D=sign * d, E=e_ratio * d, gamma_e=gamma_e).at_detuning(detuning)
+        h = reference_hamiltonian(params, None)
         upper = np.linalg.eigvalsh(h[np.ix_(PM, PM)])[1]
         assume(abs(h[1, 1].real - upper) > 1e-9 * d)
-        at_pi = transfer_3x3(h, np.pi)
-        assert all(transfer_3x3(h, phi) <= at_pi + 1e-12
+        at_pi = transfer_3x3(params, np.pi)
+        assert all(transfer_3x3(params, phi) <= at_pi + 1e-12
                    for phi in np.linspace(0, np.pi, 65)[1:])
         if at_pi < 0.5:
             with pytest.raises(CalibrationError):
-                calibrate_pulses(h)
+                calibrate_pulses(params)
         else:
-            assert calibrate_pulses(h)[1] == np.pi
+            assert calibrate_pulses(params)[1] == np.pi
 
 
 class TestHahnEcho:
@@ -486,6 +466,27 @@ class TestHahnEcho:
         floor = 1e-11 + 4 * np.pi * np.finfo(float).eps * f_max * blk.tau
         assert np.all(np.abs(blk.intensity - other.intensity) <= floor)
 
+    @settings(max_examples=12, deadline=None)
+    @given(bath=drawn_baths(), detuning=st.floats(-20e-3, 20e-3), shift=st.floats(-50e9, 50e9))
+    def test_constant_shift_gives_the_same_echo(self, bath, detuning, shift):
+        # a constant added to both blocks is a global phase of each delay and
+        # leaves the normalized weights as they are: the echo agrees to the
+        # whole-window floor of the shifted block (the D/3 frame relies on it)
+        build = hamiltonian.block_hamiltonians
+
+        def shifted(params, bath):
+            h2, h0 = build(params, bath)
+            return h2 + shift * np.eye(len(h2)), h0 + shift * np.eye(len(h0))
+
+        p = ModelParams().at_detuning(detuning)
+        seq = SequenceConfig()
+        blk = hahn_echo_trace(p, bath, seq)
+        with mock.patch.object(hamiltonian, "block_hamiltonians", shifted):
+            moved = hahn_echo_trace(p, bath, seq)
+        f_max = np.max(np.abs(np.linalg.eigvalsh(shifted(p, bath)[0])))
+        floor = 1e-11 + 4 * np.pi * np.finfo(float).eps * f_max * blk.tau
+        assert np.all(np.abs(blk.intensity - moved.intensity) <= floor)
+
     def test_trace_metadata(self):
         seq = SequenceConfig(tau_step=100e-9, tau_max=5e-6)
         trace = hahn_echo_trace(ModelParams(), single_proton(), seq)
@@ -507,12 +508,14 @@ class TestRealFrame:
         p = ModelParams().at_detuning(detuning)
         h2, _ = hamiltonian.block_hamiltonians(p, bath)
         assert not np.any(h2.imag)
-        # the laboratory-frame +-1 block of the dense reference, turned
+        # the laboratory-frame +-1 block of the dense reference, turned, is the
+        # block shifted back by D/3, within 2 ulps of its largest entry
         nb = 2**bath.n_nuclei
         pm = np.r_[0:nb, 2 * nb:3 * nb]
         turned = real_frame(reference_hamiltonian(p, bath)[np.ix_(pm, pm)], bath.n_nuclei)
         eps = np.finfo(float).eps
-        assert np.max(np.abs(h2 - turned)) <= 2 * eps * np.max(np.abs(h2))
+        assert (np.max(np.abs(h2 + p.D / 3 * np.eye(2 * nb) - turned))
+                <= 2 * eps * np.max(np.abs(turned)))
         # the complex solver on the real-valued matrix returns real eigenvectors
         _, vecs = eigensolve(h2)
         assert not np.any(vecs.imag)

@@ -10,9 +10,9 @@ from clockspin.hamiltonian import (
     ModelParams,
     bath_hamiltonian_matrix,
     block_hamiltonians,
-    build_electronic,
     clock_frequency_curve,
     eigensolve,
+    electronic_levels,
     project_fictitious,
 )
 from clockspin.spinops import is_hermitian, spin_half_generators
@@ -30,19 +30,31 @@ def single_proton(a_sc=1e6, a_psc=0.5e6):
 
 
 def hyperfine_part(bath):
-    """Hyperfine term of the +-1 block, isolated to roundoff of 1 Hz.
+    """Hyperfine term of the +-1 block.
 
-    With D/3 = 1 Hz, E = 0 and no field the block is
-    ``1 + sigma_z (x) sum_m (A_sc Iz + sqrt(2) A_psc Ix)`` for one proton, in
-    the builder's real frame.
+    The block is H_tot - D/3, so with E = 0 and no field it is
+    ``sigma_z (x) sum_m (A_sc Iz + sqrt(2) A_psc Ix)`` for one proton, in the
+    builder's real frame.
     """
-    h2, _ = block_hamiltonians(ModelParams(D=3.0, E=0.0, B0=0.0, B_min=0.0), bath)
-    return h2 - np.eye(h2.shape[0])
+    h2, _ = block_hamiltonians(ModelParams(E=0.0, B0=0.0, B_min=0.0), bath)
+    return h2
 
 
 # Full-space index of (m_S, bath state): m_S in (+1, 0, -1) is the slow index.
 def sector(m_index, nb):
     return slice(m_index * nb, (m_index + 1) * nb)
+
+
+PM = [0, 2]     # the +-1 doublet in the (+1, 0, -1) basis
+# Fields of the closed-form checks: the CT, the benchmark range, and just below
+# the 639.63 mT where the m_S = 0 level meets the doublet at the defaults
+CLOSED_FORM_DETUNINGS = [0.0, -2e-3, 2e-3, -5e-3, 5e-3, 0.6396]
+ELECTRONIC_MODELS = [ModelParams(), ModelParams(D=45e9), ModelParams(E=-4.5e9)]
+
+
+def h_s(p):
+    """The dense oracle's laboratory-frame 3 x 3 H_S."""
+    return reference_hamiltonian(p, None)
 
 
 class TestModelParams:
@@ -68,27 +80,41 @@ class TestModelParams:
 
 class TestElectronic:
     def test_ct_eigenvalues(self):
-        vals, _ = eigensolve(build_electronic(ModelParams()))
+        vals, _ = eigensolve(h_s(ModelParams()))
         assert np.allclose(vals, [-19.5 * GHZ, -10.5 * GHZ, 30.0 * GHZ], rtol=1e-12)
 
     def test_traceless_and_hermitian(self):
-        h = build_electronic(ModelParams().at_detuning(7e-3))
+        h = h_s(ModelParams().at_detuning(7e-3))
         assert abs(np.trace(h)) < 1e-3
         assert is_hermitian(h)
 
+    @pytest.mark.parametrize("model", ELECTRONIC_MODELS, ids=["defaults", "D>0", "E<0"])
+    @pytest.mark.parametrize("db", CLOSED_FORM_DETUNINGS)
+    def test_closed_form_is_the_oracle_less_d_over_3(self, model, db):
+        # the engine's doublet and m_S = 0 level against the oracle's spin-1
+        # matrix products, shifted by D/3, within a few ulps of its largest entry
+        p = model.at_detuning(db)
+        doublet, level_0 = electronic_levels(p)
+        shifted = h_s(p) - p.D / 3 * np.eye(3)
+        ulp = np.finfo(float).eps * np.max(np.abs(h_s(p)))
+        assert doublet.dtype == float
+        assert np.max(np.abs(doublet - shifted[np.ix_(PM, PM)])) <= 4 * ulp
+        assert abs(level_0 - shifted[1, 1]) <= 4 * ulp
+        assert not np.any(shifted[1, PM]) and not np.any(shifted[PM, 1])
+
     def test_ct_eigenvectors_are_symmetric_combinations(self):
-        _, vecs = eigensolve(build_electronic(ModelParams()))
+        _, vecs = eigensolve(h_s(ModelParams()))
         minus = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
         plus = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
         assert abs(abs(np.vdot(minus, vecs[:, 0])) - 1.0) < 1e-12
         assert abs(abs(np.vdot(plus, vecs[:, 1])) - 1.0) < 1e-12
         assert np.max(np.abs(vecs[1, :2])) < 1e-12  # no |0> amplitude
 
-    @pytest.mark.parametrize("db", [-50e-3, -5e-3, 0.0, 1e-3, 20e-3, 50e-3])
+    @pytest.mark.parametrize("db", sorted({-50e-3, 1e-3, 20e-3, 50e-3, *CLOSED_FORM_DETUNINGS}))
     def test_detuned_doublet_analytic(self, db):
         # E and Zeeman act only inside the {up, down} block: 2x2 oracle
         p = ModelParams().at_detuning(db)
-        vals, _ = eigensolve(build_electronic(p))
+        vals, _ = eigensolve(h_s(p))
         half_gap = np.sqrt(p.E**2 + (p.gamma_e * db) ** 2)
         expected = np.sort([-abs(p.D) / 3 - half_gap, -abs(p.D) / 3 + half_gap, 2 * abs(p.D) / 3])
         assert np.allclose(vals, expected, rtol=1e-12)
@@ -96,8 +122,8 @@ class TestElectronic:
     def test_e_sign_flip_only_relabels(self):
         p_plus = ModelParams()
         p_minus = ModelParams(E=-4.5e9)
-        v1, _ = eigensolve(build_electronic(p_plus))
-        v2, _ = eigensolve(build_electronic(p_minus))
+        v1, _ = eigensolve(h_s(p_plus))
+        v2, _ = eigensolve(h_s(p_minus))
         assert np.allclose(v1, v2, rtol=1e-12)
 
 
@@ -117,13 +143,13 @@ class TestHyperfine:
         bath = single_proton(a_sc=0.0, a_psc=0.0)
         h = reference_hamiltonian(p, bath)
         h_i = bath_hamiltonian_matrix(p, bath)
-        assert np.max(np.abs(h - np.kron(build_electronic(p), np.eye(2))
+        assert np.max(np.abs(h - np.kron(h_s(p), np.eye(2))
                              - np.kron(np.eye(3), h_i))) == 0.0
 
     def test_ms0_sector_vanishes(self):
         # decoupling: the full H has exact zeros between m_S = 0 and the +-1
-        # sectors, and the builder's blocks are the remaining sub-blocks, the
-        # +-1 one turned into the real frame
+        # sectors, and the builder's blocks are the remaining sub-blocks less
+        # D/3, the +-1 one turned into the real frame
         rng = np.random.default_rng(11)
         for n in (1, 2, 3):
             bath = sample_bath(BathSpec(n_nuclei=n, n_realizations=1), 0)
@@ -137,8 +163,10 @@ class TestHyperfine:
             pm_rows = np.r_[0:nb, 2 * nb:3 * nb]
             h2, h0 = block_hamiltonians(p, bath)
             scale = 1e-12 * np.linalg.norm(h)
-            assert np.max(np.abs(h2 - real_frame(h[np.ix_(pm_rows, pm_rows)], n))) < scale
-            assert np.max(np.abs(h0 - h[zero, zero])) < scale
+            shift = p.D / 3 * np.eye(nb)
+            assert np.max(np.abs(h2 + np.kron(np.eye(2), shift)
+                                 - real_frame(h[np.ix_(pm_rows, pm_rows)], n))) < scale
+            assert np.max(np.abs(h0 + shift - h[zero, zero])) < scale
 
     def test_commutes_with_sz_not_with_bath_transverse(self):
         h = hyperfine_part(single_proton())
@@ -202,12 +230,13 @@ class TestBathHamiltonian:
 
 class TestTotal:
     def test_n0_reduces_to_electronic(self):
+        # the blocks are H_S - D/3: the closed-form doublet and m_S = 0 level
         p = ModelParams().at_detuning(3e-3)
-        assert np.allclose(reference_hamiltonian(p, None), build_electronic(p))
         h2, h0 = block_hamiltonians(p, None)
-        pm = [0, 2]
-        assert np.allclose(h2, build_electronic(p)[np.ix_(pm, pm)])
-        assert np.allclose(h0, build_electronic(p)[1, 1])
+        doublet, level_0 = electronic_levels(p)
+        assert np.array_equal(h2, doublet) and np.array_equal(h0, [[level_0]])
+        assert np.allclose(h2 + p.D / 3 * np.eye(2), h_s(p)[np.ix_(PM, PM)])
+        assert np.allclose(h0 + p.D / 3, h_s(p)[1, 1])
 
     def test_hermitian_random_inputs(self):
         rng = np.random.default_rng(2)
@@ -229,7 +258,8 @@ class TestTotal:
             assert h2.shape == (2 * 2**n,) * 2 and h0.shape == (2**n,) * 2
 
     def test_eigenvalue_count_and_realness(self):
-        # the spectrum of the full H is the union of the two block spectra
+        # the spectrum of the full H is the union of the two block spectra,
+        # shifted by D/3
         p = ModelParams().at_detuning(2e-3)
         bath = single_proton()
         vals, _ = eigensolve(reference_hamiltonian(p, bath))
@@ -237,7 +267,7 @@ class TestTotal:
         assert np.all(np.isreal(vals))
         h2, h0 = block_hamiltonians(p, bath)
         blocks = np.sort(np.concatenate([np.linalg.eigvalsh(h2), np.linalg.eigvalsh(h0)]))
-        assert np.allclose(vals, blocks, rtol=1e-12, atol=0.0)
+        assert np.allclose(vals, blocks + p.D / 3, rtol=1e-12, atol=0.0)
 
 
 class TestEigensolve:
@@ -323,11 +353,18 @@ class TestClockFrequencyCurve:
         assert ct_curvature(p) == pytest.approx(4 * p.gamma_e**2 / (2 * p.E))
 
     def test_matches_full_eigensolve(self):
-        p = ModelParams()
-        db = np.linspace(-50e-3, 50e-3, 11)
-        spec = clock_frequency_curve(p, p.B_min + db)
-        oracle = np.array([analytic_doublet_gap(p, x) for x in db])
-        assert np.allclose(spec.f, oracle, rtol=1e-12)
+        # the closed-form levels against an eigh of the oracle's H_S at every
+        # grid point, and the gap against its closed form where both lowest
+        # levels are the doublet's
+        db = np.concatenate([np.linspace(-50e-3, 50e-3, 11), CLOSED_FORM_DETUNINGS, [0.7]])
+        for model in ELECTRONIC_MODELS:
+            spec = clock_frequency_curve(model, model.B_min + db)
+            for x, levels in zip(db, spec.energies):
+                oracle = np.linalg.eigvalsh(h_s(model.at_detuning(x)))
+                assert np.allclose(levels, oracle, rtol=1e-12, atol=0.0), (model, x)
+            reachable = np.hypot(model.E, model.gamma_e * db) < -model.D
+            oracle = np.array([analytic_doublet_gap(model, x) for x in db])
+            assert np.allclose(spec.f[reachable], oracle[reachable], rtol=1e-12)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -354,7 +391,7 @@ class TestProjection:
         p = ModelParams().at_detuning(10e-3)
         model = project_fictitious(p)
         eff = np.linalg.eigvalsh(model.h_eff)
-        full, _ = eigensolve(build_electronic(p))
+        full, _ = eigensolve(h_s(p))
         shifted = full[:2] + abs(p.D) / 3.0
         assert np.allclose(eff, shifted, rtol=1e-12)
 
@@ -365,7 +402,7 @@ class TestProjection:
         for db in np.linspace(-50e-3, 50e-3, 21):
             pp = p.at_detuning(db)
             eff = np.linalg.eigvalsh(project_fictitious(pp).h_eff)
-            vals, _ = eigensolve(build_electronic(pp))
+            vals, _ = eigensolve(h_s(pp))
             assert abs((eff[1] - eff[0]) - (vals[1] - vals[0])) <= 1e-10 * (vals[1] - vals[0])
 
     def test_anticommutator_block_is_minus_sigma_y(self):

@@ -17,7 +17,7 @@ from clockspin.analysis import fit_decay
 from clockspin.dynamics import SequenceConfig
 from clockspin.echotrace import EchoTrace
 from clockspin.errors import FitError
-from clockspin.hamiltonian import ModelParams, build_electronic
+from clockspin.hamiltonian import ModelParams
 
 # The fitter keeps scipy 1.17's operation order; the bit-for-bit comparison was
 # checked against scipy 1.17.1 only.
@@ -70,7 +70,7 @@ class TestBrentq:
 
         with mock.patch.object(solvers, "brentq", both):
             try:
-                dynamics.calibrate_pulses(build_electronic(params))
+                dynamics.calibrate_pulses(params)
             except dynamics.CalibrationError:
                 reject()
         assert len(roots) == 1 and roots[0][0] == roots[0][1]

@@ -8,7 +8,7 @@ from clockspin.dynamics import (
     _echo_block_engine,
     hahn_echo_trace,
 )
-from clockspin.hamiltonian import ModelParams, block_hamiltonians, build_electronic
+from clockspin.hamiltonian import ModelParams, block_hamiltonians
 from clockspin.spinops import is_hermitian, spin1_generators, spin_half_generators
 from clockspin.validate import _site, reference_echo, reference_hamiltonian
 from support import electron_pulse
@@ -138,13 +138,14 @@ class TestPartialTrace:
         assert np.max(np.abs(with_bath - bare)) < 1e-13
 
     def test_trace_preserved(self):
-        # each block carries the trace of its sector of the full H
+        # each block carries the trace of its sector of the full H, less D/3
+        # per state
         p = ModelParams().at_detuning(2e-3)
         h2, h0 = block_hamiltonians(p, two_protons())
         full = reference_hamiltonian(p, two_protons())
-        assert np.trace(h2) == pytest.approx(np.trace(full[:4, :4]) + np.trace(full[8:, 8:]),
-                                             rel=1e-12)
-        assert np.trace(h0) == pytest.approx(np.trace(full[4:8, 4:8]), rel=1e-12)
+        assert np.trace(h2) + 8 * p.D / 3 == pytest.approx(
+            np.trace(full[:4, :4]) + np.trace(full[8:, 8:]), rel=1e-12)
+        assert np.trace(h0) + 4 * p.D / 3 == pytest.approx(np.trace(full[4:8, 4:8]), rel=1e-12)
 
     def test_expectation_identity_random_states(self):
         # the block Sz readout equals the full-space Tr(rho Sz) for states
@@ -160,13 +161,16 @@ class TestPartialTrace:
 
     def test_partial_trace_of_embedded_electron_op(self):
         # hyperfine and bath terms are traceless over the bath, so tracing the
-        # bath out of each block leaves 2**N times the matching H_S sub-block
+        # bath out of each block leaves 2**N times the matching sub-block of
+        # the oracle's H_S, less D/3
         p = ModelParams().at_detuning(2e-3)
         h2, h0 = block_hamiltonians(p, two_protons())
-        h_s = build_electronic(p)
+        h_s = reference_hamiltonian(p, None)
         pm = [0, 2]
-        assert np.allclose(bath_trace(h2, 4), 4 * h_s[np.ix_(pm, pm)], rtol=1e-12, atol=0)
-        assert np.allclose(bath_trace(h0, 4), 4 * h_s[1, 1], rtol=1e-12, atol=0)
+        shift = 4 * p.D / 3
+        assert np.allclose(bath_trace(h2, 4) + shift * np.eye(2), 4 * h_s[np.ix_(pm, pm)],
+                           rtol=1e-12, atol=0)
+        assert np.allclose(bath_trace(h0, 4) + shift, 4 * h_s[1, 1], rtol=1e-12, atol=0)
 
 
 class TestMatrixChecks:
