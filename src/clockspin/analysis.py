@@ -53,10 +53,15 @@ class DecayFit:
 def _boxcar_width(tau: np.ndarray, smooth_hz: float) -> int:
     """Odd moving-average width over one period of ``smooth_hz`` on the grid
     ``tau``, or 0 where the trace stays as it is: a width of 1, or a grid too
-    short to trim that width from each end."""
+    short to trim that width from each end.  A period of half the grid or
+    more gives 0 before any rounding: it may be too long for an int."""
     if tau.size < 2:
         return 0
-    width = max(1, int(round(1.0 / (smooth_hz * (tau[1] - tau[0])))))
+    with np.errstate(divide="ignore", over="ignore"):
+        period = 1.0 / (smooth_hz * (tau[1] - tau[0]))
+    if not 2 * period < tau.size:
+        return 0
+    width = max(1, int(round(period)))
     if width % 2 == 0:
         width += 1
     return width if 1 < width and 2 * width < tau.size else 0

@@ -94,8 +94,8 @@ def _finish_field(cfg, db_mt, trace_csv, trace_json, spectrum_csv, trace):
 
 def _check_fields(cfg, grid_mt):
     """Refuse, before the run, a non-finite field, a tau grid too short to
-    fit the decay at one of the fields, or a field whose pulses cannot be
-    calibrated (exit 2)."""
+    fit the decay at one of the fields, or a field where no pulse drives the
+    two lowest states (exit 2)."""
     tau = cfg.sequence.tau_grid()
     for db_mt in grid_mt:
         params = cfg.model.at_detuning(db_mt * 1e-3)

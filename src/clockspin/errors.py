@@ -6,7 +6,8 @@ class ClockspinError(Exception):
 
 
 class CalibrationError(ClockspinError):
-    """Pulse-angle optimization found no usable maximum."""
+    """No pulse drives the field's two lowest electronic states: the m_S = 0
+    level is not above the +-1 doublet's upper level."""
 
 
 class FitError(ClockspinError):

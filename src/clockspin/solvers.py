@@ -1,9 +1,5 @@
-"""The two numerical solvers clockspin needs, in numpy: a bracketed root and a
-bounded nonlinear least-squares fit.
+"""The bounded nonlinear least-squares fit clockspin needs, in numpy.
 
-``brentq`` is Brent's method (Brent, *Algorithms for Minimization Without
-Derivatives*, 1973, ch. 4) as scipy's C ``brentq`` runs it, with the same
-tolerances, branches and operation order, so it returns the same double.
 ``least_squares_bounded`` is the path that ``scipy.optimize.curve_fit(...,
 bounds=..., maxfev=...)`` takes through ``least_squares``: the bounded
 trust-region-reflective method of Branch, Coleman & Li (SIAM J. Sci. Comput.
@@ -13,9 +9,8 @@ branches that call takes are kept, and every floating-point operation is kept
 in scipy's order, so its result differs from scipy's only by what the two
 builds of LAPACK's gesdd give.
 
-Both are ports of scipy 1.17 (``scipy/optimize/Zeros/brentq.c``,
-``_lsq/trf.py``, ``_lsq/common.py``, ``_numdiff.py``), used under scipy's
-BSD-3-Clause license:
+It is a port of scipy 1.17 (``scipy/optimize/_lsq/trf.py``,
+``_lsq/common.py``, ``_numdiff.py``), used under scipy's BSD-3-Clause license:
 
     Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
     All rights reserved.
@@ -56,59 +51,8 @@ import numpy as np
 from numpy.linalg import norm, svd
 
 _EPS = np.finfo(float).eps
-_BRENT_RTOL = 4 * _EPS
-_BRENT_MAXITER = 100
 _FD_STEP = _EPS**0.5             # relative forward-difference step
 _TOL = 1e-8                     # ftol, xtol and gtol
-
-
-def brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of ``f`` in the bracket ``[a, b]``, within ``xtol + 4 eps |x|``.
-
-    Raises:
-        ValueError: if ``f(a)`` and ``f(b)`` have the same sign.
-        RuntimeError: if 100 iterations do not converge.
-    """
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if copysign(1.0, fpre) == copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and copysign(1.0, fpre) != copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-    raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations")
 
 
 class LeastSquaresResult(NamedTuple):

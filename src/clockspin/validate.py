@@ -110,7 +110,7 @@ def reference_echo(params: ModelParams, bath, seq, phi_half: float,
     comes from an eigendecomposition of the 3 x 3 generator {Sx,Sy}, not
     from the engine's closed form, and each delay is the phase map
     ``exp(-i 2 pi (f_j - f_k) tau)``.  The pulse angles are inputs, so the
-    block engine's calibrated angles can be replayed here.
+    block engine's angles can be replayed here.
     """
     h = reference_hamiltonian(params, bath)
     nb = h.shape[0] // 3

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from clockspin import analysis
 from clockspin.analysis import (
     MIN_FIT_POINTS,
     Peak,
@@ -81,6 +84,39 @@ class TestFitDecay:
                     fit_decay(trace, baseline=True, smooth_hz=nu_h or None)
             else:
                 fit_decay(trace, baseline=True, smooth_hz=nu_h or None)
+
+
+class TestBoxcarWidth:
+    @staticmethod
+    def rounded_width(tau, smooth_hz):
+        """The width as computed before periods too long for an int were
+        refused first."""
+        width = max(1, int(round(1.0 / (smooth_hz * (tau[1] - tau[0])))))
+        if width % 2 == 0:
+            width += 1
+        return width if 1 < width and 2 * width < tau.size else 0
+
+    def test_every_finite_width_is_kept(self):
+        # periods from half a step to twice the grid, with the ulps on either
+        # side of half the grid, where the new early return starts
+        for n in range(2, 80):
+            tau = 100e-9 * np.arange(1, n + 1)
+            periods = np.concatenate([np.linspace(0.5, 2 * n, 301),
+                                      np.nextafter(n / 2, [0, np.inf]), [n / 2 - 1e-12, n / 2]])
+            for period in periods:
+                smooth_hz = 1.0 / (period * (tau[1] - tau[0]))
+                assert analysis._boxcar_width(tau, smooth_hz) == \
+                    self.rounded_width(tau, smooth_hz)
+
+    @pytest.mark.parametrize("smooth_hz", [2.35e-306, 1e-320, 0.0])
+    def test_period_too_long_for_an_int_gives_no_smoothing(self, smooth_hz):
+        # a proton frequency of 2.35e-306 Hz (gamma_H = 1e-310 MHz/T) has a
+        # period of inf steps on a 100 ns grid; it once raised OverflowError
+        tau = 100e-9 * np.arange(1, 1001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert analysis._boxcar_width(tau, smooth_hz) == 0
+            check_fit_grid(tau, smooth_hz)
 
 
 class TestSubtractBackground:

@@ -182,6 +182,7 @@ class TestInputContract:
         "tau_max_us = 0.01",        # no tau point at the n1 step of 0.025 us
         "temperature_K = nan",
         "temperature_K = inf",
+        "temperature_K = 1e-323",   # k_B T underflows to 0: h / (k_B T) is not finite
         "tau_step_us = abc",
         "D_GHz = 1e999999",         # overflows the decimal shift to Hz
         "bath_N = 1.5",
@@ -335,6 +336,20 @@ class TestInputContract:
 
 
 class TestEchoCommand:
+    def test_proton_period_too_long_for_an_int_runs_unsmoothed(self, tmp_path, capsys):
+        # gamma_H = 1e-310 MHz/T gives a proton period of inf tau steps, which
+        # once raised OverflowError; it runs as 1e-300 does, with no smoothing
+        outs = []
+        for gamma_h in ("1e-300", "1e-310"):
+            cfg = tmp_path / f"{gamma_h}.cfg"
+            cfg.write_text(f"gamma_H_MHz_per_T = {gamma_h}\ntau_max_us = 10\n")
+            outs.append(tmp_path / gamma_h)
+            rc = main(["echo", "--preset", "n1", "--config", str(cfg), "--out", str(outs[-1])])
+            assert rc == 0
+            assert capsys.readouterr().err == ""
+        for name in ("trace.csv", "fit.json", "spectrum.csv", "peaks.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_n0_constant_trace_no_peaks(self, tmp_path):
         cfg = tmp_path / "n0.cfg"
         # psc_ratio 0 and zero couplings: bath_N must be >= 1, use A = 0

@@ -11,9 +11,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 import clockspin
 from clockspin import constants, dynamics, hamiltonian
@@ -132,6 +133,17 @@ class TestThermalState:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             SequenceConfig(temperature=0.0)
+
+    def test_rejects_temperature_where_beta_is_not_finite(self):
+        # below about 1.8e-301 K, k_B T underflows to 0.0 and h / (k_B T)
+        # would divide by zero in the engine, after the run had started
+        for temperature in (1e-323, 1e-301):
+            with pytest.raises(ValueError, match=r"h / \(k_B T\) is not finite"):
+                SequenceConfig(temperature=temperature)
+        seq = SequenceConfig(tau_step=100e-9, tau_max=2e-6, temperature=1.8e-301)
+        assert np.isfinite(constants.PLANCK / (constants.KBOLTZ * seq.temperature))
+        echo = hahn_echo_trace(ModelParams().at_detuning(2e-3), single_proton(), seq).intensity
+        assert np.all(np.isfinite(echo))
 
 
 class TestPropagate:
@@ -276,27 +288,34 @@ def transfer_3x3(p, phi):
 
 
 class TestCalibratePulses:
-    def test_ct_angles_match_rabi_oracle(self):
-        # transfer(phi) = sin^2(phi/2), so phi_pi = pi and phi_half = pi/2,
-        # whatever the sign of the +-1 coupling E
-        for params in (ModelParams(), ModelParams(E=-4.5e9).at_detuning(2e-3)):
-            phi_half, phi_pi = calibrate_pulses(params)
-            assert phi_pi == np.pi
-            assert phi_half == pytest.approx(np.pi / 2, abs=1e-4)
+    @settings(deadline=None)
+    @example(d=45e9, e_ratio=0.1, gamma_e=70e9, reach=0.0)        # the defaults
+    @example(d=45e9, e_ratio=-0.1, gamma_e=70e9, reach=2e-3 / 0.6396)
+    @given(d=st.floats(1e9, 1e11), e_ratio=st.floats(-0.99, 0.99),
+           gamma_e=st.floats(1e10, 2e11), reach=st.floats(-0.999, 0.999))
+    def test_ct_angles_match_rabi_oracle(self, d, e_ratio, gamma_e, reach):
+        # transfer(phi) = sin^2(phi/2) at every reachable field, whatever the
+        # sign of the +-1 coupling E, so the angles are the same constants
+        # everywhere: phi_pi = pi, and phi_half 5.0e-7 above pi/2, where the
+        # root search that once set it stopped.  reach is the detuning as a
+        # fraction of the reachable one, sqrt(D^2 - E^2) / gamma_e.
+        e = e_ratio * d
+        detuning = reach * np.sqrt(d**2 - e**2) / gamma_e
+        params = ModelParams(D=-d, E=e, gamma_e=gamma_e).at_detuning(detuning)
+        assert calibrate_pulses(params) == (dynamics._PHI_HALF, np.pi)
+        assert dynamics._PHI_HALF - np.pi / 2 == 4.999996072729829e-07
+
+    def test_phi_half_is_the_brentq_root(self):
+        # the population imbalance after P(phi) is sin^2(phi/2) - cos^2(phi/2)
+        # = -cos(phi) at every field; Brent's method with xtol = 1e-4 on
+        # [1e-6, pi], the search that the constant replaced, stops on it
+        root = brentq(lambda phi: -np.cos(phi), 1e-6, np.pi, xtol=1e-4)
+        assert dynamics._PHI_HALF == root
 
     def test_transfer_is_complete_at_phi_pi(self):
         p = ModelParams().at_detuning(3e-3)
         _, phi_pi = calibrate_pulses(p)
         assert transfer_3x3(p, phi_pi) == pytest.approx(1.0, abs=1e-8)
-
-    def test_angles_smooth_in_field(self):
-        p = ModelParams()
-        prev = None
-        for db in np.arange(-5e-3, 5.5e-3, 0.5e-3):
-            angles = np.array(calibrate_pulses(p.at_detuning(db)))
-            if prev is not None:
-                assert np.max(np.abs(angles - prev)) < 0.1
-            prev = angles
 
     def test_unreachable_transition_raises(self):
         # the echo pulse cannot drive population into or out of m_S = 0:

@@ -1,6 +1,5 @@
-"""The numpy solvers against the scipy routines they port."""
+"""The numpy fitter against the scipy routine it ports."""
 
-import math
 from pathlib import Path
 from unittest import mock
 
@@ -9,10 +8,10 @@ import pytest
 import scipy
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clockspin import analysis, dynamics, solvers
+from clockspin import analysis, solvers
 from clockspin.analysis import fit_decay
 from clockspin.dynamics import SequenceConfig
 from clockspin.echotrace import EchoTrace
@@ -22,58 +21,6 @@ from clockspin.hamiltonian import ModelParams
 # The fitter keeps scipy 1.17's operation order; the bit-for-bit comparison was
 # checked against scipy 1.17.1 only.
 SCIPY_1_17 = tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 17)
-
-
-def _brentq_outcome(solve, f, a, b, xtol):
-    try:
-        return solve(f, a, b, xtol)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
-
-
-def _scipy_brentq(f, a, b, xtol):
-    return scipy.optimize.brentq(f, a, b, xtol=xtol)
-
-
-class TestBrentq:
-    @pytest.mark.parametrize("f, a, b, xtol", [
-        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 1e-12),
-        (lambda x: math.exp(x) - 2, 0.0, 2.0, 1e-4),
-        (lambda x: math.cos(x) - x, 0.0, 1.0, 2e-12),
-        (lambda x: x - 1.0, 0.0, 1.0, 1e-4),             # root at the upper end
-        (lambda x: x, 0.0, 1.0, 1e-4),                   # root at the lower end
-        (lambda x: (x - 0.3) ** 5, 0.0, 1.0, 1e-15),     # 100 iterations do not converge
-        (lambda x: -1.0 if x < 0 else 1.0, -1.0, 1.0, 1e-300),  # nor here
-        (lambda x: x * x + 1, -1.0, 1.0, 1e-3),          # no sign change
-    ])
-    def test_same_double_as_scipy(self, f, a, b, xtol):
-        ours = _brentq_outcome(solvers.brentq, f, a, b, xtol)
-        assert ours == _brentq_outcome(_scipy_brentq, f, a, b, xtol)
-
-    def test_error_paths(self):
-        with pytest.raises(ValueError, match="different signs"):
-            solvers.brentq(lambda x: x * x + 1, -1.0, 1.0, 1e-3)
-        with pytest.raises(RuntimeError, match="100 iterations"):
-            solvers.brentq(lambda x: -1.0 if x < 0 else 1.0, -1.0, 1.0, 1e-300)
-
-    @settings(deadline=None, max_examples=50)
-    @given(detuning=st.floats(-0.6, 0.6), e_ratio=st.floats(0.01, 0.99),
-           d=st.floats(1e9, 1e11), gamma_e=st.floats(1e10, 2e11))
-    def test_calibration_root_matches_scipy(self, detuning, e_ratio, d, gamma_e):
-        # D < 0 keeps m_S = 0 on top unless the Zeeman term lifts the doublet past it
-        params = ModelParams(D=-d, E=e_ratio * d, gamma_e=gamma_e).at_detuning(detuning)
-        brentq, roots = solvers.brentq, []
-
-        def both(f, a, b, xtol):
-            roots.append((brentq(f, a, b, xtol), _scipy_brentq(f, a, b, xtol)))
-            return roots[-1][0]
-
-        with mock.patch.object(solvers, "brentq", both):
-            try:
-                dynamics.calibrate_pulses(params)
-            except dynamics.CalibrationError:
-                reject()
-        assert len(roots) == 1 and roots[0][0] == roots[0][1]
 
 
 def _modulated_decay(i0, t_m, x, baseline, depth, nu, n=1000, tau_step=100e-9):
