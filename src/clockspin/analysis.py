@@ -323,50 +323,37 @@ def peak_map(b0_values, peaks_per_field, gamma_h: float, bin_hz: float) -> list:
 
     Args:
         b0_values: applied field per sweep entry (T).
-        peaks_per_field: matching list of peak lists.
+        peaks_per_field: matching list of peak lists, each in frequency order.
         gamma_h: proton gyromagnetic ratio (Hz/T).
         bin_hz: interpolated FFT bin width, used as the merge tolerance.
 
     Returns:
         Flat list of PeakMapRow with labels ``a_eff``, ``nu_h_minus``,
-        ``nu_h_plus``, ``two_nu_h`` or ``other``.  A merged flanking pair is
-        emitted as two coincident rows.
+        ``nu_h_plus``, ``two_nu_h`` or ``other``.  Each field's rows come in
+        this order: the pair flanking nu_H (``effective_hyperfine``), the peak
+        nearest 2 nu_H among the others if within nu_H / 2 of it, the peak
+        below the pair nearest A_eff if within ``max(0.3 A_eff, 2 bin_hz)`` of
+        it, then every other peak, in frequency order.  A merged flanking pair
+        is emitted as two coincident rows and has no A_eff line.
     """
     rows = []
     for b0, peaks in zip(b0_values, peaks_per_field):
         nu_h = abs(gamma_h * b0)
-        claimed = set()
-        lower = upper = None
-        a_eff = None
         try:
             ec = effective_hyperfine(peaks, nu_h, bin_hz=bin_hz)
+            labelled = [(ec.lower, "nu_h_minus"), (ec.upper, "nu_h_plus")]
         except PeakExtractionError:
-            ec = None
-        if ec is not None:
-            lower, upper = ec.lower, ec.upper
-            a_eff = ec.a_eff
-            rows.append(PeakMapRow(b0, lower.freq, "nu_h_minus"))
-            rows.append(PeakMapRow(b0, upper.freq, "nu_h_plus"))
-            claimed.update(id(p) for p in (lower, upper))
-        remaining = [p for p in peaks if id(p) not in claimed]
-        if remaining:
-            cand = min(remaining, key=lambda p: abs(p.freq - 2.0 * nu_h))
-            if abs(cand.freq - 2.0 * nu_h) <= 0.5 * nu_h:
-                rows.append(PeakMapRow(b0, cand.freq, "two_nu_h"))
-                claimed.add(id(cand))
-        if a_eff:
-            low_side = [
-                p for p in peaks
-                if id(p) not in claimed and lower is not None and p.freq < lower.freq
-            ]
-            if low_side:
-                cand = min(low_side, key=lambda p: abs(p.freq - a_eff))
-                if abs(cand.freq - a_eff) <= max(0.3 * a_eff, 2.0 * bin_hz):
-                    rows.append(PeakMapRow(b0, cand.freq, "a_eff"))
-                    claimed.add(id(cand))
-        for p in peaks:
-            if id(p) not in claimed:
-                rows.append(PeakMapRow(b0, p.freq, "other"))
+            ec, labelled = None, []
+        guides = [("two_nu_h", 2.0 * nu_h, 0.5 * nu_h, np.inf)]    # label, target, tol, below
+        if ec is not None and ec.a_eff:
+            guides.append(("a_eff", ec.a_eff, max(0.3 * ec.a_eff, 2.0 * bin_hz), ec.lower.freq))
+        for label, target, tol, below in guides:
+            free = [p for p in peaks if p.freq < below and all(p is not q for q, _ in labelled)]
+            best = min(free, key=lambda p: abs(p.freq - target), default=None)
+            if best is not None and abs(best.freq - target) <= tol:
+                labelled.append((best, label))
+        labelled += [(p, "other") for p in peaks if all(p is not q for q, _ in labelled)]
+        rows += [PeakMapRow(b0, p.freq, label) for p, label in labelled]
     return rows
 
 

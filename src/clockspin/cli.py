@@ -103,6 +103,18 @@ def _check_fields(cfg, grid_mt):
         dynamics.calibrate_pulses(params)
 
 
+def _field_tags(grid_mt) -> list:
+    """Each field's file tag, refusing a grid in which two fields share one."""
+    fields = {}
+    for db_mt in grid_mt:
+        tag = f"{db_mt:+08.3f}mT"
+        if tag in fields:
+            raise ValueError(f"detunings {fields[tag]} and {float(db_mt)} mT would both write "
+                             f"the files tagged {tag}")
+        fields[tag] = float(db_mt)
+    return list(fields)
+
+
 def cmd_echo(args) -> int:
     cfg = _load_run_config(args)
     _check_fields(cfg, [cfg.detuning_mt])
@@ -131,17 +143,15 @@ def cmd_echo(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
     grid_mt = cfg.detuning_grid_mt()
+    tags = _field_tags(grid_mt)
     _check_fields(cfg, grid_mt)
     cfg.jobs = dynamics.worker_count(cfg.jobs, grid_mt.size * cfg.bath.n_realizations)
     with _run_directory(cfg, "sweep", detuning_grid_mT=[float(x) for x in grid_mt]) as result:
         # field_sweep writes and analyses each field as soon as its average
         # exists.  Every file is named here first, so a failed run removes them all.
-        finish = []
-        for db_mt in grid_mt:
-            tag = f"{db_mt:+08.3f}mT"
-            finish.append(functools.partial(
-                _finish_field, cfg, db_mt, result(f"trace_{tag}.csv"),
-                result(f"trace_{tag}.json"), result(f"spectrum_{tag}.csv")))
+        finish = [functools.partial(_finish_field, cfg, db_mt, result(f"trace_{tag}.csv"),
+                                    result(f"trace_{tag}.json"), result(f"spectrum_{tag}.csv"))
+                  for db_mt, tag in zip(grid_mt, tags)]
         fields = dynamics.field_sweep(cfg.model, cfg.bath, cfg.sequence, grid_mt * 1e-3,
                                       jobs=cfg.jobs, finish=finish)
         b0s, fits, peaks_per_field, bin_widths = zip(*fields)

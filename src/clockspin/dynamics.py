@@ -68,8 +68,10 @@ trace from 2.2 to 3.1 ms).
 Where no OpenBLAS exports ``cblas_dtrmm`` (another BLAS, or a platform
 without ``/proc/self/maps``), the product by T for d > 64 runs in blocks of
 64 rows, each multiplying rows ``r:r+64`` of T from the diagonal column r
-on with rows ``r:`` of the operand, and the blocks' per-tau sums of squares
-are added: with ``n_b = d // 64`` blocks a tau point costs
+on with rows ``r:`` of the operand and writing its rows of the product into
+the spent first operand.  Every path thus leaves the whole product in one
+array, whose squares one sum per chunk adds up: with ``n_b = d // 64`` blocks
+a tau point costs
 ``d^3 (1 + (n_b + 1) / (2 n_b))``, 1.625 d^3 at N = 7 and 1.75 d^3 at
 N = 6.  The blocks took 0.86 and 0.72 of a full GEMM's time in the
 measurement above.  The height of 64 rows comes from measurement: at N = 7
@@ -286,14 +288,14 @@ def _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi):
     # does (_tau_chunk, module docstring).  The chunk's two operands are the
     # leading entries of two buffers allocated once per trace: `a` takes
     # D V_up^T (a copy of V_up^T, held complex, then one multiply by D) and,
-    # once read by GEMM 1, the row blocks' products; `b` takes GEMM 1.
+    # once read by GEMM 1, the row blocks' rows of T x; `b` takes GEMM 1, and
+    # TRMM overwrites it with T x.  One sum of squares per chunk reads T x.
     v_up_t = np.ascontiguousarray(v2[:nb, :].T, dtype=complex)[:, None, :]   # (d, 1, d/2)
     p_pi_t = v2.T @ _block_pulse(phi_pi, nb).T @ v2
     t_half = np.linalg.qr(np.sqrt(w2)[:, None] * (v2.T @ _block_pulse(phi_half, nb).T @ v2),
                           mode="r")
     del v2
     trmm = _openblas_trmm() if d > _ROW_BLOCK else None
-    rows = range(0, d, _ROW_BLOCK)
     intensity = np.empty(tau.size)
     n_chunks = max(1, tau.size // _tau_chunk(d))
     bounds = [tau.size * k // n_chunks for k in range(n_chunks + 1)]
@@ -311,15 +313,12 @@ def _echo_block_engine(params, bath, seq, tau, phi_half, phi_pi):
         b *= u
         if trmm is not None:
             trmm(t_half, x)                                         # x <- T x
-            y = x.reshape(d, nt, d)
-            power = np.einsum("ktj,ktj->t", y, y)
         else:
-            power = np.zeros(nt)
-            for r in rows:                                          # GEMM 2, by row block
-                t_rows = t_half[r:r + _ROW_BLOCK, r:]
-                y = np.matmul(t_rows, x[r:], out=a[:len(t_rows)]).reshape(-1, nt, d)
-                power += np.einsum("ktj,ktj->t", y, y)
-        intensity[start:stop] = 2.0 * power
+            for r in range(0, d, _ROW_BLOCK):                       # a <- T x, by row block
+                np.matmul(t_half[r:r + _ROW_BLOCK, r:], x[r:], out=a[r:r + _ROW_BLOCK])
+            x = a
+        y = x.reshape(d, nt, d)
+        intensity[start:stop] = 2.0 * np.einsum("ktj,ktj->t", y, y)
     intensity -= w2.sum()
     return intensity
 

@@ -43,9 +43,9 @@ _COUPLING = st.floats(-10e6, 10e6, allow_subnormal=False)
 
 
 @st.composite
-def drawn_baths(draw):
-    """A bath of 1 to 4 protons with arbitrary couplings and pair angles."""
-    n = draw(st.integers(1, 4))
+def drawn_baths(draw, max_nuclei=4):
+    """A bath of 1 to ``max_nuclei`` protons with arbitrary couplings and pair angles."""
+    n = draw(st.integers(1, max_nuclei))
     theta = np.zeros((n, n))
     for m in range(n):
         for k in range(m + 1, n):

@@ -303,16 +303,19 @@ class TestModulationDepth:
 
 class TestPeakMap:
     def test_labels_standard_morphology(self):
+        # exact rows: the pair, 2 nu_H, A_eff below the pair, then the others
+        # by frequency; 0.6 MHz lies below the pair but too far from A_eff =
+        # 0.2 MHz, 1.5 MHz above it but farther from 2 nu_H than 2 nu_H itself
         gamma_h = 42.577e6
         b0 = 25.5e-3
         nu = gamma_h * b0
-        peaks = [
-            Peak(0.2e6, 0.5), Peak(nu - 0.1e6, 1.0), Peak(nu + 0.1e6, 0.9),
-            Peak(2 * nu, 0.4),
-        ]
+        freqs = [0.21e6, 0.6e6, nu - 0.1e6, nu + 0.1e6, 1.5e6, 2 * nu]
+        peaks = [Peak(f, a) for f, a in zip(freqs, [0.3, 0.2, 1.0, 0.9, 0.25, 0.4])]
         rows = peak_map([b0], [peaks], gamma_h, bin_hz=5e3)
-        labels = {r.label for r in rows}
-        assert {"nu_h_minus", "nu_h_plus", "two_nu_h", "a_eff"} <= labels
+        assert [(r.b0, r.freq, r.label) for r in rows] == [
+            (b0, nu - 0.1e6, "nu_h_minus"), (b0, nu + 0.1e6, "nu_h_plus"),
+            (b0, 2 * nu, "two_nu_h"), (b0, 0.21e6, "a_eff"),
+            (b0, 0.6e6, "other"), (b0, 1.5e6, "other")]
 
     def test_merged_pair_emits_coincident_rows(self):
         gamma_h = 42.577e6
@@ -320,9 +323,9 @@ class TestPeakMap:
         nu = gamma_h * b0
         rows = peak_map([b0], [[Peak(nu + 100.0, 1.0), Peak(2 * nu, 0.4)]],
                         gamma_h, bin_hz=1e3)
-        flank = [r for r in rows if r.label in ("nu_h_minus", "nu_h_plus")]
-        assert len(flank) == 2
-        assert flank[0].freq == flank[1].freq
+        assert [(r.b0, r.freq, r.label) for r in rows] == [
+            (b0, nu + 100.0, "nu_h_minus"), (b0, nu + 100.0, "nu_h_plus"),
+            (b0, 2 * nu, "two_nu_h")]
 
     def test_unmatched_peaks_labeled_other(self):
         rows = peak_map([25.5e-3], [[Peak(0.97e6, 1.0), Peak(1.2e6, 0.8), Peak(4.4e6, 0.5)]],

@@ -330,6 +330,18 @@ class TestInputContract:
             f"doublet's upper level ({upper} GHz), so no pulse drives the two lowest states"]
         assert not out.exists()
 
+    def test_fields_sharing_a_file_tag_are_usage_error(self, tmp_path, capsys):
+        # the tags keep 0.001 mT: 0.0005 and 0.001 mT would both write
+        # trace_+000.001mT.*, one field's files overwriting the other's
+        out = tmp_path / "bad"
+        rc = main(["sweep", "--preset", "n1", "--start-mT", "0", "--stop-mT", "0.002",
+                   "--step-mT", "0.0005", "--jobs", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "clockspin: usage error: detunings 0.0005 and 0.001 mT would both write the "
+            "files tagged +000.001mT"]
+        assert not out.exists()
+
     def test_grid_at_point_limit_is_built(self):
         cfg = RunConfig(zeeman_start_mt=0.0, zeeman_stop_mt=999_999.0, zeeman_step_mt=1.0)
         assert cfg.zeeman_grid_mt().size == config._MAX_GRID_POINTS == 1_000_000
@@ -450,6 +462,14 @@ class TestSweepCommand:
         for name in names:
             if name.endswith(".csv"):
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_thousandth_mT_step_writes_each_field_its_own_files(self, tmp_path, n2_config):
+        out = tmp_path / "fine"
+        assert main(["sweep", "--config", str(n2_config), "--start-mT", "0", "--stop-mT",
+                     "0.002", "--step-mT", "0.001", "--out", str(out)]) == 0
+        tags = ["+000.000mT", "+000.001mT", "+000.002mT"]
+        assert sorted(p.name for p in out.glob("trace_*.csv")) == [f"trace_{t}.csv" for t in tags]
+        assert len((out / "tm_vs_detuning.csv").read_text().splitlines()) == 1 + len(tags)
 
     def test_default_jobs_matches_serial_bytes(self, tmp_path, n2_config):
         args = ["sweep", "--config", str(n2_config),

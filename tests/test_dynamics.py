@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 import clockspin
-from clockspin import constants, dynamics, hamiltonian
+from clockspin import constants, dynamics, hamiltonian, validate
 from clockspin.bath import BathRealization, BathSpec, sample_bath
 from clockspin.dynamics import (
     SequenceConfig,
@@ -28,7 +28,7 @@ from clockspin.dynamics import (
 )
 from clockspin.errors import CalibrationError, ClockspinError
 from clockspin.hamiltonian import ModelParams, eigensolve
-from clockspin.spinops import spin1_generators
+from clockspin.spinops import spin1_generators, spin_half_generators
 from clockspin.validate import reference_echo, reference_hamiltonian
 from support import drawn_baths, electron_pulse, real_frame
 
@@ -505,6 +505,31 @@ class TestHahnEcho:
         f_max = np.max(np.abs(np.linalg.eigvalsh(shifted(p, bath)[0])))
         floor = 1e-11 + 4 * np.pi * np.finfo(float).eps * f_max * blk.tau
         assert np.all(np.abs(blk.intensity - moved.intensity) <= floor)
+
+    @settings(max_examples=12, deadline=None)
+    @given(bath=drawn_baths(max_nuclei=3), detuning=st.floats(-5e-3, 5e-3),
+           alpha=st.floats(0.0, 2 * np.pi, exclude_max=True))
+    def test_nuclear_z_rotation_gives_the_same_echo(self, bath, detuning, alpha):
+        # turning every nuclear frame by alpha about z, 1 (x) exp(-i alpha
+        # sum_k Iz^k), commutes with the pulses and Sz: the dense reference on
+        # the turned H_tot agrees with the engine to the whole-window floor
+        lab = validate.reference_hamiltonian
+        iz = spin_half_generators()[2]
+        m_z = sum(np.diag(validate._site(iz, k, bath.n_nuclei)).real
+                  for k in range(bath.n_nuclei))
+        phase = np.tile(np.exp(-1j * alpha * m_z), 3)
+
+        def turned(params, bath):
+            return phase[:, None] * lab(params, bath) * phase.conj()
+
+        p = ModelParams().at_detuning(detuning)
+        seq = SequenceConfig()
+        blk = hahn_echo_trace(p, bath, seq)
+        with mock.patch.object(validate, "reference_hamiltonian", turned):
+            full = replayed_reference(p, bath, seq, blk)
+        f_max = np.max(np.abs(np.linalg.eigvalsh(lab(p, bath))))
+        floor = 1e-11 + 4 * np.pi * np.finfo(float).eps * f_max * blk.tau
+        assert np.all(np.abs(blk.intensity - full) <= floor)
 
     def test_trace_metadata(self):
         seq = SequenceConfig(tau_step=100e-9, tau_max=5e-6)
